@@ -83,7 +83,9 @@ type Detector struct {
 	clock *stats.Clock
 	costs stats.CostModel
 
-	threads    map[guest.TID]*regionInfo
+	// threads[t] is thread t's region state, indexed by the (small,
+	// dense) TID and grown on demand.
+	threads    []regionInfo
 	vars       map[uint64]*varState
 	nextRegion uint64
 
@@ -117,7 +119,6 @@ func New(clock *stats.Clock, costs stats.CostModel) *Detector {
 	return &Detector{
 		clock:         clock,
 		costs:         costs,
-		threads:       make(map[guest.TID]*regionInfo),
 		vars:          make(map[uint64]*varState),
 		seen:          make(map[uint64]struct{}),
 		MaxViolations: defaultMaxViolations,
@@ -132,13 +133,15 @@ func (d *Detector) Violations() []Violation {
 	return out
 }
 
+// region returns thread t's region state. The pointer is valid until the
+// next call (growing the slice moves it).
 func (d *Detector) region(t guest.TID) *regionInfo {
-	r, ok := d.threads[t]
-	if !ok {
-		r = &regionInfo{}
-		d.threads[t] = r
+	if int(t) >= len(d.threads) {
+		nt := make([]regionInfo, int(t)+1)
+		copy(nt, d.threads)
+		d.threads = nt
 	}
-	return r
+	return &d.threads[t]
 }
 
 // OnAccess processes one access per 8-byte block.

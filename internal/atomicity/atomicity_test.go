@@ -158,3 +158,24 @@ func TestViolationString(t *testing.T) {
 		t.Errorf("String = %q", w.String())
 	}
 }
+
+// TestSyncPathNoAllocs pins the steady-state synchronization contract:
+// region state lives in a TID-indexed slice, so once a thread has been
+// seen its nested acquire/release cycles allocate nothing.
+func TestSyncPathNoAllocs(t *testing.T) {
+	d := det()
+	nested := func() {
+		d.OnAcquire(2, 7)
+		d.OnAcquire(2, 8)
+		d.OnRelease(2, 8)
+		d.OnRelease(2, 7)
+	}
+	nested()
+	regions := d.C.Regions
+	if n := testing.AllocsPerRun(200, nested); n != 0 {
+		t.Errorf("nested acquire/release allocates %.1f objects per cycle, want 0", n)
+	}
+	if d.C.Regions == regions {
+		t.Error("steady-state cycles opened no regions")
+	}
+}

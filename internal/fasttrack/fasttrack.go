@@ -459,13 +459,16 @@ func (d *Detector) OnAcquire(gtid guest.TID, lock int64) {
 	}
 }
 
-// OnRelease processes a lock release: L_m := C_t; C_t[t]++.
+// OnRelease processes a lock release: L_m := C_t; C_t[t]++. L_m is
+// overwritten in its existing storage: lock clocks are owned by the lock
+// table alone (OnAcquire joins L_m into the thread clock, never the other
+// way round), so the previous value has no other reader.
 func (d *Detector) OnRelease(gtid guest.TID, lock int64) {
 	d.C.SyncOps++
 	d.clock.Charge(d.costs.AnalysisSync)
 	t := vclock.TID(gtid)
 	ct := d.tvc(t)
-	d.locks[lock] = ct.Copy()
+	d.locks[lock] = d.locks[lock].Assign(ct)
 	d.setTVC(t, ct.Tick(t))
 }
 
@@ -502,8 +505,9 @@ func (d *Detector) OnBarrierWait(gtid guest.TID, id int64) {
 }
 
 // OnBarrierRelease applies the accumulated barrier clock to a released
-// thread; when every waiter has been released the accumulator resets so the
-// barrier can be reused.
+// thread; when every waiter has been released the accumulator resets in
+// place (zero entries are ⊥, so a cleared clock is the empty clock) so the
+// barrier can be reused without reallocating.
 func (d *Detector) OnBarrierRelease(gtid guest.TID, id int64) {
 	d.C.SyncOps++
 	d.clock.Charge(d.costs.AnalysisSync)
@@ -515,7 +519,8 @@ func (d *Detector) OnBarrierRelease(gtid guest.TID, id int64) {
 	d.setTVC(t, d.tvc(t).Join(b.vc).Tick(t))
 	b.released++
 	if b.released >= b.waiting {
-		d.bars[id] = &barrier{}
+		clear(b.vc)
+		b.waiting, b.released = 0, 0
 	}
 }
 

@@ -80,23 +80,6 @@ func (w Warning) String() string {
 		w.Addr, kind, w.TID, w.PC)
 }
 
-// lockSet is an immutable sorted set of lock ids; sets are interned so the
-// common case (same set as before) is a pointer comparison, mirroring
-// Eraser's lockset-index caching.
-type lockSet struct {
-	ids []int64
-}
-
-func (ls *lockSet) contains(id int64) bool {
-	i := sort.Search(len(ls.ids), func(i int) bool { return ls.ids[i] >= id })
-	return i < len(ls.ids) && ls.ids[i] == id
-}
-
-// key renders a canonical map key for interning.
-func (ls *lockSet) keyString() string {
-	return fmt.Sprint(ls.ids)
-}
-
 // varState is the per-variable Eraser metadata.
 type varState struct {
 	state State
@@ -117,10 +100,11 @@ type Detector struct {
 	clock *stats.Clock
 	costs stats.CostModel
 
-	held   map[guest.TID]*lockSet // locks_held(t)
-	vars   map[uint64]*varState
-	intern map[string]*lockSet
-	empty  *lockSet
+	// held[t] is locks_held(t), indexed by the (small, dense) TID and
+	// grown on demand; slots default to the empty set.
+	held []*lockSet
+	vars map[uint64]*varState
+	sets setTable // hash-consed locksets and their transitions (table.go)
 
 	warnings []Warning
 	seen     map[uint64]struct{} // one warning per variable, as in Eraser
@@ -149,35 +133,30 @@ const defaultMaxWarnings = 1000
 
 // New creates a detector charging analysis costs to clock.
 func New(clock *stats.Clock, costs stats.CostModel) *Detector {
-	d := &Detector{
+	return &Detector{
 		clock:       clock,
 		costs:       costs,
-		held:        make(map[guest.TID]*lockSet),
 		vars:        make(map[uint64]*varState),
-		intern:      make(map[string]*lockSet),
+		sets:        newSetTable(),
 		seen:        make(map[uint64]struct{}),
 		MaxWarnings: defaultMaxWarnings,
 	}
-	d.empty = d.internSet(nil)
-	return d
-}
-
-func (d *Detector) internSet(ids []int64) *lockSet {
-	ls := &lockSet{ids: ids}
-	k := ls.keyString()
-	if got, ok := d.intern[k]; ok {
-		return got
-	}
-	d.intern[k] = ls
-	return ls
 }
 
 // heldBy returns locks_held(t).
 func (d *Detector) heldBy(t guest.TID) *lockSet {
-	if ls, ok := d.held[t]; ok {
-		return ls
+	if uint(t) < uint(len(d.held)) {
+		return d.held[t]
 	}
-	return d.empty
+	return d.sets.empty
+}
+
+// setHeld records locks_held(t) := ls.
+func (d *Detector) setHeld(t guest.TID, ls *lockSet) {
+	for int(t) >= len(d.held) {
+		d.held = append(d.held, d.sets.empty)
+	}
+	d.held[t] = ls
 }
 
 // Warnings returns the recorded violations sorted by address.
@@ -261,35 +240,10 @@ func (d *Detector) access(tid guest.TID, pc isa.PC, block uint64, write bool) {
 	// Refine C(v) ∩= locks_held(t).
 	d.C.Refinements++
 	d.clock.Charge(d.costs.AnalysisSlow)
-	vs.cv = d.intersect(vs.cv, d.heldBy(tid))
+	vs.cv = d.sets.meet(vs.cv, d.heldBy(tid))
 	if vs.state == SharedModified && len(vs.cv.ids) == 0 {
 		d.report(Warning{Addr: block, TID: tid, PC: pc, Write: write})
 	}
-}
-
-// intersect returns the interned intersection of two locksets.
-func (d *Detector) intersect(a, b *lockSet) *lockSet {
-	if a == b {
-		return a
-	}
-	if len(a.ids) == 0 || len(b.ids) == 0 {
-		return d.empty
-	}
-	var out []int64
-	i, j := 0, 0
-	for i < len(a.ids) && j < len(b.ids) {
-		switch {
-		case a.ids[i] == b.ids[j]:
-			out = append(out, a.ids[i])
-			i++
-			j++
-		case a.ids[i] < b.ids[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return d.internSet(out)
 }
 
 // warned reports whether a violation was already recorded for block (and
@@ -320,32 +274,14 @@ func (d *Detector) report(w Warning) {
 func (d *Detector) OnAcquire(tid guest.TID, lock int64) {
 	d.C.SyncOps++
 	d.clock.Charge(d.costs.AnalysisSync)
-	cur := d.heldBy(tid)
-	if cur.contains(lock) {
-		return
-	}
-	ids := make([]int64, 0, len(cur.ids)+1)
-	ids = append(ids, cur.ids...)
-	ids = append(ids, lock)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	d.held[tid] = d.internSet(ids)
+	d.setHeld(tid, d.sets.withLock(d.heldBy(tid), lock))
 }
 
 // OnRelease removes the lock from locks_held(t).
 func (d *Detector) OnRelease(tid guest.TID, lock int64) {
 	d.C.SyncOps++
 	d.clock.Charge(d.costs.AnalysisSync)
-	cur := d.heldBy(tid)
-	if !cur.contains(lock) {
-		return
-	}
-	ids := make([]int64, 0, len(cur.ids)-1)
-	for _, id := range cur.ids {
-		if id != lock {
-			ids = append(ids, id)
-		}
-	}
-	d.held[tid] = d.internSet(ids)
+	d.setHeld(tid, d.sets.withoutLock(d.heldBy(tid), lock))
 }
 
 // OnFork is a no-op: Eraser has no happens-before notion. Present so the

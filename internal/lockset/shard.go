@@ -58,7 +58,7 @@ func (d *Detector) MergeShards(shards []analysis.Analysis) {
 			d.vars[block] = &varState{
 				state: vs.state,
 				owner: vs.owner,
-				cv:    d.internSet(vs.cv.ids),
+				cv:    d.sets.intern(vs.cv.ids),
 			}
 		}
 	}

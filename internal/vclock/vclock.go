@@ -84,6 +84,14 @@ func (v VC) Copy() VC {
 	return nv
 }
 
+// Assign overwrites v with the contents of src, reusing v's storage when
+// its capacity suffices, and returns the result (the same length as src).
+// The result never aliases src: it is src's value, like Copy, without the
+// allocation once v has grown to src's length.
+func (v VC) Assign(src VC) VC {
+	return append(v[:0], src...)
+}
+
 // Join merges other into v pointwise-max (⊔) and returns the clock.
 func (v VC) Join(other VC) VC {
 	if len(other) > len(v) {

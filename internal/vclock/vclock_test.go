@@ -182,6 +182,52 @@ func TestCopyIsIndependent(t *testing.T) {
 	}
 }
 
+func TestAssignReusesStorage(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		dst, src VC
+	}{
+		{"nil destination", nil, VC{4, 5, 6}},
+		{"shorter destination", VC{9}, VC{4, 5, 6}},
+		{"equal length", VC{9, 9, 9}, VC{4, 5, 6}},
+		{"longer destination", VC{9, 9, 9, 9, 9}, VC{4, 5, 6}},
+		{"empty source", VC{9, 9}, VC{}},
+	} {
+		dst := tc.dst
+		backing := dst[:cap(dst)]
+		got := dst.Assign(tc.src)
+		if len(got) != len(tc.src) {
+			t.Errorf("%s: len = %d, want %d", tc.name, len(got), len(tc.src))
+		}
+		for i, c := range tc.src {
+			if got[i] != c {
+				t.Errorf("%s: Assign = %v, want %v", tc.name, got, tc.src)
+				break
+			}
+		}
+		// Beyond the result's length every entry reads as zero.
+		if got.Get(TID(len(tc.src)+1)) != 0 {
+			t.Errorf("%s: stale entry past the source's length", tc.name)
+		}
+		if cap(tc.dst) >= len(tc.src) && len(tc.src) > 0 && &got[0] != &backing[0] {
+			t.Errorf("%s: Assign reallocated a destination with room", tc.name)
+		}
+		// The result must not alias the source: writes to either side
+		// stay on that side.
+		if len(got) > 0 {
+			before := tc.src.Copy()
+			got = got.Tick(0)
+			if tc.src.Get(0) != before.Get(0) {
+				t.Errorf("%s: writing the destination changed the source", tc.name)
+			}
+			tc.src[0] = 77
+			if got.Get(0) == 77 {
+				t.Errorf("%s: writing the source changed the destination", tc.name)
+			}
+		}
+	}
+}
+
 func TestTickMonotoneProperty(t *testing.T) {
 	prop := func(xs []uint8, tid uint8) bool {
 		v := make(VC, len(xs))
