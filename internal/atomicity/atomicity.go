@@ -29,6 +29,7 @@ import (
 	"repro/internal/guest"
 	"repro/internal/isa"
 	"repro/internal/stats"
+	"repro/internal/varmap"
 )
 
 // BlockShift matches the other detectors' 8-byte variable granularity.
@@ -58,16 +59,23 @@ type regionInfo struct {
 	region uint64 // current region id (0 = outside any region)
 }
 
-// varState is per-variable interleaving state.
+// varState is per-variable interleaving state, one 24-byte cell of the
+// block store. The zero value is a never-accessed variable.
 type varState struct {
 	// Last local access inside a region, per thread.
-	lastTID    guest.TID
 	lastRegion uint64
-	lastWrite  bool
+	lastTID    guest.TID
 	// Pending remote access that interleaved since lastTID's access.
 	remoteTID   guest.TID
+	lastWrite   bool
 	remoteWrite bool
 	remoteValid bool
+	// touched marks an accessed variable. It is needed because an
+	// access can leave every other field zero (a read outside any
+	// region), and Variables counts first touches.
+	touched bool
+	// reported marks a recorded violation (one per variable).
+	reported bool
 }
 
 // Counters describes detector behaviour.
@@ -86,11 +94,10 @@ type Detector struct {
 	// threads[t] is thread t's region state, indexed by the (small,
 	// dense) TID and grown on demand.
 	threads    []regionInfo
-	vars       map[uint64]*varState
+	vars       *varmap.Map[varState]
 	nextRegion uint64
 
 	violations []Violation
-	seen       map[uint64]struct{}
 
 	// MaxViolations caps stored reports.
 	MaxViolations int
@@ -119,8 +126,7 @@ func New(clock *stats.Clock, costs stats.CostModel) *Detector {
 	return &Detector{
 		clock:         clock,
 		costs:         costs,
-		vars:          make(map[uint64]*varState),
-		seen:          make(map[uint64]struct{}),
+		vars:          varmap.New[varState](),
 		MaxViolations: defaultMaxViolations,
 	}
 }
@@ -171,20 +177,20 @@ func (d *Detector) contention() uint64 {
 }
 
 func (d *Detector) access(tid guest.TID, pc isa.PC, block uint64, write bool) {
-	vs, ok := d.vars[block]
-	if !ok {
-		vs = &varState{}
-		d.vars[block] = vs
+	vs := d.vars.Cell(block)
+	if !vs.touched {
+		vs.touched = true
 		d.C.Variables++
 	}
 	reg := d.region(tid).region
 
 	if vs.lastTID == tid && vs.lastRegion == reg && reg != 0 {
-		// Second local access in the same region: check the triple.
-		if vs.remoteValid {
+		// Second local access in the same region: check the triple
+		// (only the variable's first violation is reported).
+		if vs.remoteValid && !vs.reported {
 			l1, r, l2 := vs.lastWrite, vs.remoteWrite, write
 			if unserializable(l1, r, l2) {
-				d.report(Violation{
+				d.report(vs, Violation{
 					Addr: block, Local: tid, Remote: vs.remoteTID,
 					Pattern: pattern(l1, r, l2), PC: pc,
 				})
@@ -241,12 +247,9 @@ func pattern(l1, r, l2 bool) string {
 	return c(l1) + "-" + c(r) + "-" + c(l2)
 }
 
-// report stores one violation per variable.
-func (d *Detector) report(v Violation) {
-	if _, dup := d.seen[v.Addr]; dup {
-		return
-	}
-	d.seen[v.Addr] = struct{}{}
+// report records the first violation on the variable whose cell is vs.
+func (d *Detector) report(vs *varState, v Violation) {
+	vs.reported = true
 	if len(d.violations) < d.MaxViolations {
 		d.violations = append(d.violations, v)
 		if d.shard {

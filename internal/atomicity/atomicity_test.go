@@ -3,6 +3,7 @@ package atomicity
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/guest"
 	"repro/internal/stats"
@@ -177,5 +178,55 @@ func TestSyncPathNoAllocs(t *testing.T) {
 	}
 	if d.C.Regions == regions {
 		t.Error("steady-state cycles opened no regions")
+	}
+}
+
+// touchAtomicity gives v an open in-region record by thread 1 and v+8 a
+// record annotated by a remote access from thread 2.
+func touchAtomicity(d *Detector) {
+	d.OnAcquire(1, 1)
+	d.OnAccess(1, 1, v, 8, true)
+	d.OnAccess(1, 1, v+8, 8, false)
+	d.OnAccess(2, 2, v+8, 8, false)
+}
+
+// TestAccessPathNoAllocs pins the steady-state access contract: reads and
+// writes to already touched variables allocate nothing, inside and outside
+// a region.
+func TestAccessPathNoAllocs(t *testing.T) {
+	d := det()
+	touchAtomicity(d)
+	vars := d.C.Variables
+	if n := testing.AllocsPerRun(200, func() {
+		d.OnAccess(1, 1, v, 8, false)
+		d.OnAccess(1, 1, v, 8, true)
+		d.OnAccess(2, 2, v+8, 8, false)
+		d.OnAccess(1, 3, v+4, 8, false) // straddles both blocks
+	}); n != 0 {
+		t.Errorf("steady-state accesses allocate %.1f objects per round, want 0", n)
+	}
+	if d.C.Variables != vars {
+		t.Errorf("Variables grew from %d to %d on touched variables", vars, d.C.Variables)
+	}
+}
+
+// BenchmarkAccessPath measures one in-region local access and one remote
+// access to touched variables.
+func BenchmarkAccessPath(b *testing.B) {
+	d := det()
+	touchAtomicity(d)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.OnAccess(1, 1, v, 8, true)
+		d.OnAccess(2, 2, v+8, 8, false)
+	}
+}
+
+// TestCellLayout pins the block-store cell at 24 bytes (the region id
+// first, then the two TIDs, then the flags).
+func TestCellLayout(t *testing.T) {
+	if n := unsafe.Sizeof(varState{}); n != 24 {
+		t.Errorf("varState is %d bytes, want 24", n)
 	}
 }

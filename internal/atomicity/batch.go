@@ -18,12 +18,12 @@
 // per-access charge — which is what the kernel retires in bulk.
 //
 // Singleton records are retired in-kernel whenever the AVIO step provably
-// cannot report or allocate: the only reporting branch requires an open
-// local record of the same (thread, region) with a pending remote access
-// (vs.remoteValid), and the only allocation is a fresh variable. Every
-// other step is a bounded field update on existing state, which the
-// kernel performs directly via the same state-machine code; records that
-// could report or allocate fall back to the scalar hook and are counted.
+// cannot report and the variable was touched before: the only reporting
+// branch requires an open local record of the same (thread, region) with
+// a pending remote access (vs.remoteValid). Every other step on a touched
+// variable is a bounded field update, which the kernel performs directly
+// via the same state-machine code; records that could report or that
+// touch a fresh variable fall back to the scalar hook and are counted.
 package atomicity
 
 import "repro/internal/analysis"
@@ -82,9 +82,8 @@ func (d *Detector) OnAccessGroups(recs []analysis.AccessRecord, groups []analysi
 			}
 			if j == i+1 {
 				// Singleton: retire in-kernel unless the step could report
-				// or allocate (see the package comment).
-				vs, ok := d.vars[first]
-				if ok {
+				// or touch a fresh variable (see the package comment).
+				if vs := d.vars.Cell(first); vs.touched {
 					reg := d.region(r.TID).region
 					if !(vs.lastTID == r.TID && vs.lastRegion == reg &&
 						reg != 0 && vs.remoteValid) {

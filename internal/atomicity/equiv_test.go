@@ -1,0 +1,313 @@
+package atomicity
+
+import (
+	"cmp"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/analysis"
+	"repro/internal/guest"
+	"repro/internal/isa"
+	"repro/internal/stats"
+)
+
+// refDetector is a naive AVIO checker: per-variable state lives in a plain
+// map of pointers, with no batch kernel and no paging. It is the oracle
+// the block-store detector must match.
+type refDetector struct {
+	costs      stats.CostModel
+	cycles     uint64
+	syncCycles uint64 // the part of cycles charged by lock events
+	live       int
+	depth      map[guest.TID]int
+	region     map[guest.TID]uint64
+	nextRegion uint64
+	vars       map[uint64]*refVar
+	seen       map[uint64]bool
+	violations []Violation
+	C          Counters
+}
+
+type refVar struct {
+	lastTID, remoteTID                  guest.TID
+	lastRegion                          uint64
+	lastWrite, remoteWrite, remoteValid bool
+}
+
+func newRef(live int) *refDetector {
+	return &refDetector{
+		costs:  stats.DefaultCosts(),
+		live:   live,
+		depth:  map[guest.TID]int{},
+		region: map[guest.TID]uint64{},
+		vars:   map[uint64]*refVar{},
+		seen:   map[uint64]bool{},
+	}
+}
+
+func (r *refDetector) acquire(t guest.TID) {
+	r.C.SyncOps++
+	r.cycles += r.costs.AnalysisSync
+	r.syncCycles += r.costs.AnalysisSync
+	if r.depth[t] == 0 {
+		r.nextRegion++
+		r.region[t] = r.nextRegion
+		r.C.Regions++
+	}
+	r.depth[t]++
+}
+
+func (r *refDetector) release(t guest.TID) {
+	r.C.SyncOps++
+	r.cycles += r.costs.AnalysisSync
+	r.syncCycles += r.costs.AnalysisSync
+	if r.depth[t] > 0 {
+		r.depth[t]--
+		if r.depth[t] == 0 {
+			r.region[t] = 0
+		}
+	}
+}
+
+func (r *refDetector) access(t guest.TID, pc isa.PC, addr uint64, size uint8, write bool) {
+	if write {
+		r.C.Writes++
+	} else {
+		r.C.Reads++
+	}
+	r.cycles += r.costs.AnalysisFast
+	if r.live > 1 {
+		r.cycles += r.costs.AnalysisContention * uint64(min(r.live-1, 8))
+	}
+	first := addr &^ (1<<BlockShift - 1)
+	last := (addr + uint64(size) - 1) &^ (1<<BlockShift - 1)
+	for b := first; b <= last; b += 1 << BlockShift {
+		r.block(t, pc, b, write)
+	}
+}
+
+func (r *refDetector) block(t guest.TID, pc isa.PC, b uint64, write bool) {
+	v := r.vars[b]
+	if v == nil {
+		v = &refVar{}
+		r.vars[b] = v
+		r.C.Variables++
+	}
+	reg := r.region[t]
+	open := func() {
+		v.lastTID, v.lastRegion, v.lastWrite, v.remoteValid = t, reg, write, false
+	}
+	switch {
+	case v.lastTID == t && v.lastRegion == reg && reg != 0:
+		if v.remoteValid && unserializable(v.lastWrite, v.remoteWrite, write) && !r.seen[b] {
+			r.seen[b] = true
+			r.violations = append(r.violations, Violation{
+				Addr: b, Local: t, Remote: v.remoteTID,
+				Pattern: pattern(v.lastWrite, v.remoteWrite, write), PC: pc,
+			})
+		}
+		open()
+	case v.lastTID != t && v.lastTID != 0:
+		if !v.remoteValid && v.lastRegion != 0 {
+			v.remoteTID, v.remoteWrite, v.remoteValid = t, write, true
+		}
+		if reg != 0 {
+			open()
+		}
+	case reg != 0:
+		open()
+	case v.lastTID == t:
+		v.lastTID, v.remoteValid = 0, false
+	}
+}
+
+// op is one generated event: a lock operation or a memory access.
+type op struct {
+	kind  int // 0 acquire, 1 release, 2 access
+	tid   guest.TID
+	pc    isa.PC
+	addr  uint64
+	size  uint8
+	write bool
+}
+
+const (
+	genThreads = 4
+	genPages   = 3
+)
+
+// genOps draws a random event sequence. Addresses cluster on a few
+// blocks per page so regions see remote interleavings, and runs of
+// repeated accesses exercise the batch kernel's coalescing. Accesses may
+// straddle blocks but never pages (the sharded replay routes each access
+// to one page's shard).
+func genOps(rng *rand.Rand, n int) []op {
+	sizes := []uint8{1, 2, 4, 8}
+	ops := make([]op, 0, n)
+	for len(ops) < n {
+		o := op{tid: guest.TID(rng.Intn(genThreads) + 1)}
+		switch k := rng.Intn(10); {
+		case k < 2:
+			o.kind = 0
+		case k < 4:
+			o.kind = 1
+		default:
+			o.kind = 2
+			o.pc = isa.PC(rng.Intn(16))
+			o.addr = uint64(rng.Intn(genPages))<<12 | uint64(rng.Intn(4))<<BlockShift | uint64(rng.Intn(8))
+			o.size = sizes[rng.Intn(len(sizes))]
+			o.write = rng.Intn(2) == 0
+		}
+		for rep := 1 + rng.Intn(3); rep > 0 && len(ops) < n; rep-- {
+			ops = append(ops, o)
+		}
+	}
+	return ops
+}
+
+// batcher banks accesses as records and delivers them, page-grouped,
+// whenever a sync event is about to be dispatched — the vectorized
+// pipeline's drain discipline.
+type batcher struct {
+	recs   []analysis.AccessRecord
+	groups []analysis.AccessGroup
+	seq    uint64
+}
+
+func (b *batcher) push(o op) {
+	b.seq++
+	b.recs = append(b.recs, analysis.AccessRecord{
+		Seq: b.seq, Addr: o.addr, PC: o.pc, TID: o.tid, Size: o.size, Write: o.write,
+	})
+}
+
+// drain delivers the banked records to deliver and empties the bank.
+func (b *batcher) drain(deliver func(recs []analysis.AccessRecord, groups []analysis.AccessGroup)) {
+	if len(b.recs) > 0 {
+		b.groups = analysis.GroupByPage(b.recs, b.groups[:0])
+		deliver(b.recs, b.groups)
+	}
+	b.recs = b.recs[:0]
+}
+
+// routeByPage splits recs into per-shard batches by page, keeping order.
+func routeByPage(recs []analysis.AccessRecord, shards []analysis.Analysis) {
+	for i, s := range shards {
+		var mine []analysis.AccessRecord
+		for _, r := range recs {
+			if int((r.Addr>>12)%uint64(len(shards))) == i {
+				mine = append(mine, r)
+			}
+		}
+		if len(mine) > 0 {
+			s.(analysis.GroupedBatchAnalysis).OnAccessGroups(mine, analysis.GroupByPage(mine, nil))
+		}
+	}
+}
+
+// checkAgainstRef compares a detector's findings and counters with the
+// reference's.
+func checkAgainstRef(t *testing.T, seed int64, what string, d *Detector, ref *refDetector) {
+	t.Helper()
+	want := slices.Clone(ref.violations)
+	slices.SortFunc(want, func(a, b Violation) int { return cmp.Compare(a.Addr, b.Addr) })
+	if got := d.Violations(); !slices.Equal(got, want) {
+		t.Fatalf("seed %d (%s): violations\n got %v\nwant %v", seed, what, got, want)
+	}
+	if d.C != ref.C {
+		t.Fatalf("seed %d (%s): counters %+v, want %+v", seed, what, d.C, ref.C)
+	}
+}
+
+// TestBlockStoreMatchesReference is the atomicity equivalence property:
+// on random lock/access sequences the detector reports exactly the naive
+// map-backed reference's violations, counters and cycles — through the
+// scalar hooks, through the vectorized OnAccessGroups kernel, and as
+// page-sharded replicas folded back by MergeShards.
+func TestBlockStoreMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		ops := genOps(rand.New(rand.NewSource(seed)), 300)
+		ref := newRef(genThreads)
+
+		newDet := func() (*Detector, *stats.Clock) {
+			clock := &stats.Clock{}
+			d := New(clock, stats.DefaultCosts())
+			d.AddThread(genThreads)
+			return d, clock
+		}
+		scalar, scalarClock := newDet()
+		grouped, groupedClock := newDet()
+		primary, primaryClock := newDet()
+		shards := make([]analysis.Analysis, 2)
+		shardClocks := make([]*stats.Clock, len(shards))
+		for i := range shards {
+			shardClocks[i] = &stats.Clock{}
+			shards[i] = primary.NewShard(shardClocks[i])
+			shards[i].AddThread(genThreads)
+		}
+
+		var gb, sb batcher
+		drain := func() {
+			gb.drain(grouped.OnAccessGroups)
+			sb.drain(func(recs []analysis.AccessRecord, _ []analysis.AccessGroup) { routeByPage(recs, shards) })
+		}
+		all := append([]analysis.Analysis{scalar, grouped, primary}, shards...)
+		for _, o := range ops {
+			switch o.kind {
+			case 0:
+				drain()
+				ref.acquire(o.tid)
+				for _, a := range all {
+					a.OnAcquire(o.tid, 1)
+				}
+			case 1:
+				drain()
+				ref.release(o.tid)
+				for _, a := range all {
+					a.OnRelease(o.tid, 1)
+				}
+			case 2:
+				ref.access(o.tid, o.pc, o.addr, o.size, o.write)
+				scalar.OnAccess(o.tid, o.pc, o.addr, o.size, o.write)
+				gb.push(o)
+				sb.push(o)
+			}
+		}
+		drain()
+
+		checkAgainstRef(t, seed, "scalar", scalar, ref)
+		checkAgainstRef(t, seed, "grouped", grouped, ref)
+		if scalarClock.Cycles() != ref.cycles || groupedClock.Cycles() != ref.cycles {
+			t.Fatalf("seed %d: cycles scalar %d grouped %d, want %d",
+				seed, scalarClock.Cycles(), groupedClock.Cycles(), ref.cycles)
+		}
+
+		primary.MergeShards(shards)
+		checkAgainstRef(t, seed, "sharded", primary, ref)
+		// Every replica pays for every lock event; access work is split.
+		cycles := primaryClock.Cycles()
+		for _, c := range shardClocks {
+			cycles += c.Cycles() - ref.syncCycles
+		}
+		if cycles != ref.cycles {
+			t.Fatalf("seed %d: sharded cycles %d, want %d", seed, cycles, ref.cycles)
+		}
+		touched := 0
+		for _, vs := range primary.vars.Range {
+			if vs.touched {
+				touched++
+			}
+		}
+		if touched != len(ref.vars) {
+			t.Fatalf("seed %d: merged store holds %d variables, want %d", seed, touched, len(ref.vars))
+		}
+		for b, rv := range ref.vars {
+			vs := primary.vars.Cell(b)
+			got := refVar{vs.lastTID, vs.remoteTID, vs.lastRegion, vs.lastWrite, vs.remoteWrite, vs.remoteValid}
+			if !vs.touched || got != *rv {
+				t.Fatalf("seed %d: merged var %#x = %+v, want %+v", seed, b, *vs, *rv)
+			}
+		}
+	}
+}

@@ -47,15 +47,13 @@ func (d *Detector) MergeShards(shards []analysis.Analysis) {
 		d.C.Variables += s.C.Variables
 		d.vec.coalesced += s.vec.coalesced
 		d.vec.fallbacks += s.vec.fallbacks
-		for k := range s.seen {
-			d.seen[k] = struct{}{}
-		}
 		for i, v := range s.violations {
 			all = append(all, taggedViolation{seq: s.vioSeqs[i], v: v})
 		}
-		for block, vs := range s.vars {
-			cp := *vs
-			d.vars[block] = &cp
+		for block, vs := range s.vars.Range {
+			if vs.touched {
+				*d.vars.Cell(block) = *vs
+			}
 		}
 	}
 	sort.Slice(all, func(i, j int) bool {

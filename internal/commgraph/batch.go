@@ -25,6 +25,7 @@ package commgraph
 
 import (
 	"repro/internal/analysis"
+	"repro/internal/guest"
 	"repro/internal/vm"
 )
 
@@ -71,11 +72,11 @@ func (a *Analysis) OnAccessGroups(recs []analysis.AccessRecord, groups []analysi
 			if j == i+1 {
 				// Singleton: retire graph-neutral steps in-kernel (see
 				// the package comment).
-				w, seen := a.lastWriter[key]
-				if r.Write && seen {
+				lw := a.lastWriter.Cell(key)
+				if r.Write && *lw != guest.NoTID {
 					a.C.Writes++
-					a.lastWriter[key] = r.TID
-				} else if !r.Write && (!seen || w == r.TID) {
+					*lw = r.TID
+				} else if !r.Write && (*lw == guest.NoTID || *lw == r.TID) {
 					a.C.Reads++
 				} else {
 					// First-ever write or communicating read: scalar hook.
@@ -102,7 +103,7 @@ func (a *Analysis) OnAccessGroups(recs []analysis.AccessRecord, groups []analysi
 					a.C.Writes += n
 				} else {
 					a.C.Reads += n
-					if w, ok := a.lastWriter[key]; ok && w != r.TID {
+					if w := *a.lastWriter.Cell(key); w != guest.NoTID && w != r.TID {
 						a.C.Communications += n
 						e := Edge{From: w, To: r.TID}
 						a.edges[e] += n

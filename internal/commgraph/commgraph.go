@@ -22,6 +22,7 @@ import (
 	"repro/internal/guest"
 	"repro/internal/isa"
 	"repro/internal/stats"
+	"repro/internal/varmap"
 	"repro/internal/vm"
 )
 
@@ -47,9 +48,9 @@ type Counters struct {
 // seam as the other detectors (core.analysis), so it runs under both the
 // full-instrumentation and Aikido configurations.
 type Analysis struct {
-	// lastWriter maps an 8-byte-aligned address to the last thread that
-	// wrote it.
-	lastWriter map[uint64]guest.TID
+	// lastWriter holds, per 8-byte variable, the last thread that wrote
+	// it. Guest TIDs start at 1, so a zero (fresh) cell means no writer.
+	lastWriter *varmap.Map[guest.TID]
 	// edges accumulates communication weights.
 	edges map[Edge]uint64
 	// pageEdges aggregates at page granularity.
@@ -72,7 +73,7 @@ type Analysis struct {
 // New creates a profiler.
 func New(clock *stats.Clock, costs stats.CostModel) *Analysis {
 	return &Analysis{
-		lastWriter: make(map[uint64]guest.TID),
+		lastWriter: varmap.New[guest.TID](),
 		edges:      make(map[Edge]uint64),
 		pageEdges:  make(map[uint64]map[Edge]uint64),
 		clock:      clock,
@@ -83,18 +84,18 @@ func New(clock *stats.Clock, costs stats.CostModel) *Analysis {
 // observe processes one access.
 func (a *Analysis) observe(tid guest.TID, addr uint64, write bool) {
 	a.clock.Charge(a.costs.AnalysisFast)
-	key := addr &^ 7
+	lw := a.lastWriter.Cell(addr)
 	if write {
 		a.C.Writes++
-		if _, seen := a.lastWriter[key]; !seen {
+		if *lw == guest.NoTID {
 			a.C.Variables++
 		}
-		a.lastWriter[key] = tid
+		*lw = tid
 		return
 	}
 	a.C.Reads++
-	w, ok := a.lastWriter[key]
-	if !ok || w == tid {
+	w := *lw
+	if w == guest.NoTID || w == tid {
 		return
 	}
 	a.C.Communications++

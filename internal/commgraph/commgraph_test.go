@@ -227,3 +227,38 @@ func TestAikidoCheaper(t *testing.T) {
 		t.Errorf("Aikido (%d cycles) not cheaper than full (%d cycles)", aik.Cycles, full.Cycles)
 	}
 }
+
+// TestAccessPathNoAllocs pins the steady-state access contract: re-writes
+// and reads of already written variables allocate nothing, including reads
+// that add weight to an existing edge.
+func TestAccessPathNoAllocs(t *testing.T) {
+	a := New(&stats.Clock{}, stats.DefaultCosts())
+	a.OnAccess(1, 0, 0x1000, 8, true)
+	a.OnAccess(2, 1, 0x1000, 8, false) // creates edge 1→2
+	a.OnAccess(2, 1, 0x1008, 8, true)
+	if n := testing.AllocsPerRun(200, func() {
+		a.OnAccess(1, 0, 0x1000, 8, true)
+		a.OnAccess(2, 1, 0x1000, 8, false)
+		a.OnAccess(2, 1, 0x1008, 8, true)
+		a.OnAccess(2, 1, 0x1008, 8, false)
+	}); n != 0 {
+		t.Errorf("steady-state accesses allocate %.1f objects per round, want 0", n)
+	}
+	if a.C.Variables != 2 {
+		t.Errorf("variables = %d, want 2", a.C.Variables)
+	}
+}
+
+// BenchmarkAccessPath measures one write and one communicating read of
+// a touched variable.
+func BenchmarkAccessPath(b *testing.B) {
+	a := New(&stats.Clock{}, stats.DefaultCosts())
+	a.OnAccess(1, 0, 0x1000, 8, true)
+	a.OnAccess(2, 1, 0x1000, 8, false)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.OnAccess(1, 0, 0x1000, 8, true)
+		a.OnAccess(2, 1, 0x1000, 8, false)
+	}
+}

@@ -1,0 +1,196 @@
+package commgraph
+
+import (
+	"maps"
+	"math/rand"
+	"testing"
+
+	"repro/internal/analysis"
+	"repro/internal/guest"
+	"repro/internal/stats"
+	"repro/internal/vm"
+)
+
+// refProfiler is a naive communication-graph profiler: last writers live
+// in a plain map, with no batch kernel and no paging. It is the oracle
+// the block-store profiler must match.
+type refProfiler struct {
+	costs      stats.CostModel
+	cycles     uint64
+	lastWriter map[uint64]guest.TID
+	edges      map[Edge]uint64
+	pageEdges  map[uint64]map[Edge]uint64
+	C          Counters
+}
+
+func newRef() *refProfiler {
+	return &refProfiler{
+		costs:      stats.DefaultCosts(),
+		lastWriter: map[uint64]guest.TID{},
+		edges:      map[Edge]uint64{},
+		pageEdges:  map[uint64]map[Edge]uint64{},
+	}
+}
+
+func (r *refProfiler) observe(t guest.TID, addr uint64, write bool) {
+	r.cycles += r.costs.AnalysisFast
+	key := addr &^ 7
+	if write {
+		r.C.Writes++
+		if _, ok := r.lastWriter[key]; !ok {
+			r.C.Variables++
+		}
+		r.lastWriter[key] = t
+		return
+	}
+	r.C.Reads++
+	w, ok := r.lastWriter[key]
+	if !ok || w == t {
+		return
+	}
+	r.C.Communications++
+	e := Edge{From: w, To: t}
+	r.edges[e]++
+	pe := r.pageEdges[vm.PageNum(addr)]
+	if pe == nil {
+		pe = map[Edge]uint64{}
+		r.pageEdges[vm.PageNum(addr)] = pe
+	}
+	pe[e]++
+}
+
+// op is one generated access.
+type op struct {
+	tid   guest.TID
+	addr  uint64
+	size  uint8
+	write bool
+	// drain ends the current batch before this access (a sync point).
+	drain bool
+}
+
+const (
+	genThreads = 4
+	genPages   = 3
+)
+
+// genOps draws a random access sequence over a few blocks per page, in
+// runs of repeats (the batch kernel's coalescing case). Accesses stay in
+// the first 40 bytes of a page, so the sharded replay can route each to
+// one shard.
+func genOps(rng *rand.Rand, n int) []op {
+	sizes := []uint8{1, 2, 4, 8}
+	ops := make([]op, 0, n)
+	for len(ops) < n {
+		o := op{
+			tid:   guest.TID(rng.Intn(genThreads) + 1),
+			addr:  uint64(rng.Intn(genPages))<<12 | uint64(rng.Intn(4))<<3 | uint64(rng.Intn(8)),
+			size:  sizes[rng.Intn(len(sizes))],
+			write: rng.Intn(3) == 0,
+			drain: rng.Intn(8) == 0,
+		}
+		for rep := 1 + rng.Intn(3); rep > 0 && len(ops) < n; rep-- {
+			ops = append(ops, o)
+			o.drain = false
+		}
+	}
+	return ops
+}
+
+// checkAgainstRef compares a profiler's graph and counters with the
+// reference's.
+func checkAgainstRef(t *testing.T, seed int64, what string, a *Analysis, ref *refProfiler) {
+	t.Helper()
+	if a.C != ref.C {
+		t.Fatalf("seed %d (%s): counters %+v, want %+v", seed, what, a.C, ref.C)
+	}
+	if !maps.Equal(a.edges, ref.edges) {
+		t.Fatalf("seed %d (%s): edges %v, want %v", seed, what, a.edges, ref.edges)
+	}
+	if !maps.EqualFunc(a.pageEdges, ref.pageEdges, maps.Equal) {
+		t.Fatalf("seed %d (%s): page edges %v, want %v", seed, what, a.pageEdges, ref.pageEdges)
+	}
+	written := 0
+	for _, w := range a.lastWriter.Range {
+		if *w != guest.NoTID {
+			written++
+		}
+	}
+	if written != len(ref.lastWriter) {
+		t.Fatalf("seed %d (%s): %d written variables, want %d", seed, what, written, len(ref.lastWriter))
+	}
+	for key, w := range ref.lastWriter {
+		if got := *a.lastWriter.Cell(key); got != w {
+			t.Fatalf("seed %d (%s): last writer of %#x = %d, want %d", seed, what, key, got, w)
+		}
+	}
+}
+
+// TestBlockStoreMatchesReference is the commgraph equivalence property:
+// on random access sequences the profiler records exactly the naive
+// map-backed reference's graph, counters and cycles — through the scalar
+// hook, through the vectorized OnAccessGroups kernel, and as page-sharded
+// replicas folded back by MergeShards.
+func TestBlockStoreMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		ops := genOps(rand.New(rand.NewSource(seed)), 300)
+		ref := newRef()
+
+		scalarClock, groupedClock := &stats.Clock{}, &stats.Clock{}
+		scalar := New(scalarClock, stats.DefaultCosts())
+		grouped := New(groupedClock, stats.DefaultCosts())
+		primary := New(&stats.Clock{}, stats.DefaultCosts())
+		shards := make([]analysis.Analysis, 2)
+		shardClocks := make([]*stats.Clock, len(shards))
+		for i := range shards {
+			shardClocks[i] = &stats.Clock{}
+			shards[i] = primary.NewShard(shardClocks[i])
+		}
+
+		var recs []analysis.AccessRecord
+		drain := func() {
+			if len(recs) == 0 {
+				return
+			}
+			grouped.OnAccessGroups(recs, analysis.GroupByPage(recs, nil))
+			for i, s := range shards {
+				var mine []analysis.AccessRecord
+				for _, r := range recs {
+					if int(vm.PageNum(r.Addr)%uint64(len(shards))) == i {
+						mine = append(mine, r)
+					}
+				}
+				s.(*Analysis).OnAccessGroups(mine, analysis.GroupByPage(mine, nil))
+			}
+			recs = recs[:0]
+		}
+		for i, o := range ops {
+			if o.drain {
+				drain()
+			}
+			ref.observe(o.tid, o.addr, o.write)
+			scalar.OnAccess(o.tid, 1, o.addr, o.size, o.write)
+			recs = append(recs, analysis.AccessRecord{
+				Seq: uint64(i + 1), Addr: o.addr, PC: 1, TID: o.tid, Size: o.size, Write: o.write,
+			})
+		}
+		drain()
+
+		checkAgainstRef(t, seed, "scalar", scalar, ref)
+		checkAgainstRef(t, seed, "grouped", grouped, ref)
+		if scalarClock.Cycles() != ref.cycles || groupedClock.Cycles() != ref.cycles {
+			t.Fatalf("seed %d: cycles scalar %d grouped %d, want %d",
+				seed, scalarClock.Cycles(), groupedClock.Cycles(), ref.cycles)
+		}
+
+		primary.MergeShards(shards)
+		checkAgainstRef(t, seed, "sharded", primary, ref)
+		var cycles uint64
+		for _, c := range shardClocks {
+			cycles += c.Cycles()
+		}
+		if cycles != ref.cycles {
+			t.Fatalf("seed %d: sharded cycles %d, want %d", seed, cycles, ref.cycles)
+		}
+	}
+}

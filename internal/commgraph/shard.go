@@ -13,6 +13,7 @@ package commgraph
 
 import (
 	"repro/internal/analysis"
+	"repro/internal/guest"
 	"repro/internal/stats"
 )
 
@@ -35,8 +36,10 @@ func (a *Analysis) MergeShards(shards []analysis.Analysis) {
 		a.C.Variables += s.C.Variables
 		a.vec.coalesced += s.vec.coalesced
 		a.vec.fallbacks += s.vec.fallbacks
-		for key, tid := range s.lastWriter {
-			a.lastWriter[key] = tid
+		for block, w := range s.lastWriter.Range {
+			if *w != guest.NoTID {
+				*a.lastWriter.Cell(block) = *w
+			}
 		}
 		for e, w := range s.edges {
 			a.edges[e] += w

@@ -2,7 +2,7 @@
 //
 // Coalescing soundness: within one drained batch no synchronization event
 // can interleave (every sync hook drains first), so locks_held(t) — an
-// interned, immutable set — is a fixed pointer for the whole batch. For a
+// interned, immutable set — has one dense index for the whole batch. For a
 // run of same-thread/same-kind accesses to one 8-byte block, the head
 // access arbitrates the Eraser state machine; afterwards the state is
 // stable for the rest of the run:
@@ -11,7 +11,7 @@
 //     access is the owner fast path — counters plus AnalysisFast.
 //   - Shared / SharedModified: the head set C(v) := C(v) ∩ locks_held(t),
 //     so C(v) ⊆ locks_held(t); the tail's re-intersection is idempotent
-//     (interning returns the identical pointer) and any empty-set warning
+//     (interning returns the identical set) and any empty-set warning
 //     was already recorded for this address (report dedups per variable).
 //     Each tail access is therefore exactly one Refinements count plus
 //     AnalysisSlow — pure counting, no state change, no new report.
@@ -21,8 +21,8 @@
 // the POST-head state.
 //
 // Singleton records are retired in-kernel when the Eraser step is provably
-// a no-op on detector state (locks_held(t) is an interned pointer, fixed
-// for the whole batch, so each check is a pointer/field comparison):
+// a no-op on detector state (locks_held(t) is an interned set, fixed for
+// the whole batch, so each check is an index/field comparison):
 //
 //   - Exclusive with owner == tid: the owner fast path, pure counting;
 //   - SharedModified with C(v) == locks_held(t): the intersection is the
@@ -31,7 +31,7 @@
 //   - Shared reads with C(v) == locks_held(t): same identity refinement,
 //     and Shared never reports.
 //
-// Everything else — fresh variables (allocation), ownership transitions,
+// Everything else — fresh (Virgin) variables, ownership transitions,
 // Shared writes (promotion), genuine intersections — falls back to the
 // scalar hook and is counted.
 package lockset
@@ -98,14 +98,14 @@ func (d *Detector) OnAccessGroups(recs []analysis.AccessRecord, groups []analysi
 			if j == i+1 {
 				// Singleton: probe for the provably state-neutral Eraser
 				// steps (see the package comment).
-				if vs, ok := d.vars[first]; ok {
+				if vs := d.vars.Cell(first); vs.state != Virgin {
 					scalar := uint64(0)
 					switch {
 					case vs.state == Exclusive && vs.owner == r.TID:
 						scalar = d.costs.AnalysisFast
-					case vs.cv == d.heldBy(r.TID) &&
+					case vs.cv == d.heldBy(r.TID).idx &&
 						(vs.state == Shared && !r.Write ||
-							vs.state == SharedModified && (len(vs.cv.ids) != 0 || d.warned(first))):
+							vs.state == SharedModified && (vs.cv != d.sets.empty.idx || vs.warned)):
 						// Identity refinement, no new report possible.
 						d.C.Refinements++
 						scalar = d.costs.AnalysisSlow
@@ -173,7 +173,7 @@ func (d *Detector) retireTail(tid guest.TID, block uint64, write bool, n, vecCos
 	} else {
 		d.C.Reads += n
 	}
-	vs := d.vars[block] // head just materialized it
+	vs := d.vars.Cell(block) // the head just touched it
 	scalar := d.costs.AnalysisFast
 	if vs.state != Exclusive {
 		// Idempotent refinement tail (see package comment).

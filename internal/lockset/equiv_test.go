@@ -172,8 +172,10 @@ func checkIdentity(t *testing.T, seed int64, d *Detector) {
 	t.Helper()
 	var all []*lockSet
 	all = append(all, d.held...)
-	for _, vs := range d.vars {
-		all = append(all, vs.cv)
+	for _, vs := range d.vars.Range {
+		if vs.state != Virgin {
+			all = append(all, d.sets.byIdx[vs.cv])
+		}
 	}
 	byContent := map[string]*lockSet{}
 	for _, ls := range all {
@@ -184,6 +186,9 @@ func checkIdentity(t *testing.T, seed int64, d *Detector) {
 		byContent[k] = ls
 		if got := d.sets.intern(ls.ids); got != ls {
 			t.Fatalf("seed %d: set %v is not the table's canonical handle", seed, ls.ids)
+		}
+		if d.sets.byIdx[ls.idx] != ls {
+			t.Fatalf("seed %d: set %v is not at its dense index %d", seed, ls.ids, ls.idx)
 		}
 	}
 }
@@ -212,9 +217,9 @@ func checkAgainstRef(t *testing.T, seed int64, d *Detector, ref *refDetector) {
 		t.Fatalf("seed %d: counters %+v, want %+v", seed, d.C, ref.C)
 	}
 	for b, rv := range ref.vars {
-		vs := d.vars[b]
-		if vs == nil || vs.state != rv.state || !slices.Equal(vs.cv.ids, rv.cv) {
-			t.Fatalf("seed %d: var %#x = %+v, want %+v", seed, b, vs, rv)
+		vs := d.vars.Cell(b)
+		if cv := d.sets.byIdx[vs.cv].ids; vs.state != rv.state || !slices.Equal(cv, rv.cv) {
+			t.Fatalf("seed %d: var %#x = %v %v, want %+v", seed, b, vs.state, cv, rv)
 		}
 	}
 	for tid, ids := range ref.held {

@@ -24,6 +24,7 @@ import (
 	"repro/internal/guest"
 	"repro/internal/isa"
 	"repro/internal/stats"
+	"repro/internal/varmap"
 )
 
 // BlockShift matches FastTrack's variable granularity (8-byte blocks), so
@@ -80,11 +81,15 @@ func (w Warning) String() string {
 		w.Addr, kind, w.TID, w.PC)
 }
 
-// varState is the per-variable Eraser metadata.
+// varState is the per-variable Eraser metadata, one pointer-free cell of
+// the block store. The zero value is a Virgin (never accessed) variable.
 type varState struct {
 	state State
-	owner guest.TID
-	cv    *lockSet // candidate lockset C(v)
+	// warned marks a recorded violation: Eraser reports the first one
+	// per variable and suppresses repeats.
+	warned bool
+	owner  guest.TID
+	cv     uint32 // candidate lockset C(v), as its dense index in sets
 }
 
 // Counters describes detector behaviour.
@@ -103,11 +108,10 @@ type Detector struct {
 	// held[t] is locks_held(t), indexed by the (small, dense) TID and
 	// grown on demand; slots default to the empty set.
 	held []*lockSet
-	vars map[uint64]*varState
+	vars *varmap.Map[varState]
 	sets setTable // hash-consed locksets and their transitions (table.go)
 
 	warnings []Warning
-	seen     map[uint64]struct{} // one warning per variable, as in Eraser
 
 	// MaxWarnings caps stored warnings.
 	MaxWarnings int
@@ -136,9 +140,8 @@ func New(clock *stats.Clock, costs stats.CostModel) *Detector {
 	return &Detector{
 		clock:       clock,
 		costs:       costs,
-		vars:        make(map[uint64]*varState),
+		vars:        varmap.New[varState](),
 		sets:        newSetTable(),
-		seen:        make(map[uint64]struct{}),
 		MaxWarnings: defaultMaxWarnings,
 	}
 }
@@ -204,18 +207,14 @@ func (d *Detector) access(tid guest.TID, pc isa.PC, block uint64, write bool) {
 	} else {
 		d.C.Reads++
 	}
-	vs, ok := d.vars[block]
-	if !ok {
-		vs = &varState{state: Virgin}
-		d.vars[block] = vs
-		d.C.Variables++
-	}
+	vs := d.vars.Cell(block)
 
 	switch vs.state {
 	case Virgin:
+		d.C.Variables++
 		vs.state = Exclusive
 		vs.owner = tid
-		vs.cv = d.heldBy(tid)
+		vs.cv = d.heldBy(tid).idx
 		d.clock.Charge(d.costs.AnalysisFast)
 		return
 	case Exclusive:
@@ -240,26 +239,20 @@ func (d *Detector) access(tid guest.TID, pc isa.PC, block uint64, write bool) {
 	// Refine C(v) ∩= locks_held(t).
 	d.C.Refinements++
 	d.clock.Charge(d.costs.AnalysisSlow)
-	vs.cv = d.sets.meet(vs.cv, d.heldBy(tid))
-	if vs.state == SharedModified && len(vs.cv.ids) == 0 {
-		d.report(Warning{Addr: block, TID: tid, PC: pc, Write: write})
+	cv := d.sets.meet(d.sets.byIdx[vs.cv], d.heldBy(tid))
+	vs.cv = cv.idx
+	if vs.state == SharedModified && len(cv.ids) == 0 {
+		d.report(vs, Warning{Addr: block, TID: tid, PC: pc, Write: write})
 	}
-}
-
-// warned reports whether a violation was already recorded for block (and
-// further reports on it would be suppressed).
-func (d *Detector) warned(block uint64) bool {
-	_, ok := d.seen[block]
-	return ok
 }
 
 // report records one warning per variable (Eraser reports the first
 // violation and suppresses repeats).
-func (d *Detector) report(w Warning) {
-	if _, dup := d.seen[w.Addr]; dup {
+func (d *Detector) report(vs *varState, w Warning) {
+	if vs.warned {
 		return
 	}
-	d.seen[w.Addr] = struct{}{}
+	vs.warned = true
 	if len(d.warnings) < d.MaxWarnings {
 		d.warnings = append(d.warnings, w)
 		if d.shard {

@@ -29,10 +29,10 @@ func (d *Detector) NewShard(clock *stats.Clock) analysis.Analysis {
 // MergeShards implements analysis.Sharder: fold the replicas' variable
 // metadata, access-derived counters, vector stats and tagged warnings
 // into the primary. Candidate locksets re-intern into the primary's
-// table (they are immutable sorted id slices, so content interning is
-// enough). Warnings replay in (seq, block) order — one access warns at
-// most once per block and blocks ascend within an access — then the
-// primary's cap applies. Sync-derived state (held sets, SyncOps) is not
+// table: a cell holds an index into its replica's table, so the set is
+// resolved there and interned by content. Warnings replay in (seq,
+// block) order — one access warns at most once per block and blocks
+// ascend within an access — then the primary's cap applies. Sync-derived state (held sets, SyncOps) is not
 // merged: the primary observed every sync event itself.
 func (d *Detector) MergeShards(shards []analysis.Analysis) {
 	type taggedWarning struct {
@@ -48,17 +48,17 @@ func (d *Detector) MergeShards(shards []analysis.Analysis) {
 		d.C.Variables += s.C.Variables
 		d.vec.coalesced += s.vec.coalesced
 		d.vec.fallbacks += s.vec.fallbacks
-		for k := range s.seen {
-			d.seen[k] = struct{}{}
-		}
 		for i, w := range s.warnings {
 			all = append(all, taggedWarning{seq: s.warnSeqs[i], w: w})
 		}
-		for block, vs := range s.vars {
-			d.vars[block] = &varState{
-				state: vs.state,
-				owner: vs.owner,
-				cv:    d.sets.intern(vs.cv.ids),
+		for block, vs := range s.vars.Range {
+			if vs.state != Virgin {
+				*d.vars.Cell(block) = varState{
+					state:  vs.state,
+					warned: vs.warned,
+					owner:  vs.owner,
+					cv:     d.sets.intern(s.sets.byIdx[vs.cv].ids).idx,
+				}
 			}
 		}
 	}

@@ -5,9 +5,10 @@
 // per-event work is a table probe rather than set arithmetic (Savage et
 // al., TOCS'97). The table here does the same: every lockset a
 // detector ever names is interned once, so equal sets are the same
-// pointer — the batch kernel's `vs.cv == heldBy(t)` identity test and
-// meet's `a == b` shortcut rely on that — and the three operations
-// the detector performs on sets are memoized per set:
+// pointer and the same dense index — the batch kernel's
+// `vs.cv == heldBy(t).idx` identity test and meet's `a == b` shortcut
+// rely on that — and the three operations the detector performs on sets
+// are memoized per set:
 //
 //   - acquire: (set, lock) → set ∪ {lock}, cached on the source set;
 //   - release: (set, lock) → set \ {lock}, cached on the source set;
@@ -41,6 +42,7 @@ type lockSet struct {
 // MergeShards re-interns their sets into the primary's.
 type setTable struct {
 	sets  map[string]*lockSet // canonical encoding of ids → set
+	byIdx []*lockSet          // dense index → set; byIdx[0] is empty
 	meets map[uint64]*lockSet // lo.idx<<32 | hi.idx → lo ∩ hi
 	empty *lockSet
 
@@ -67,8 +69,9 @@ func (t *setTable) intern(ids []int64) *lockSet {
 	if ls, ok := t.sets[string(t.key)]; ok {
 		return ls
 	}
-	ls := &lockSet{ids: slices.Clone(ids), idx: uint32(len(t.sets))}
+	ls := &lockSet{ids: slices.Clone(ids), idx: uint32(len(t.byIdx))}
 	t.sets[string(t.key)] = ls
+	t.byIdx = append(t.byIdx, ls)
 	return ls
 }
 

@@ -42,6 +42,7 @@ import (
 	"repro/internal/guest"
 	"repro/internal/isa"
 	"repro/internal/stats"
+	"repro/internal/varmap"
 )
 
 // bagKind tags a disjoint-set root.
@@ -97,7 +98,8 @@ type access struct {
 	pc   isa.PC
 }
 
-// cell is the shadow state of one 8-byte location.
+// cell is the shadow state of one 8-byte location, one cell of the block
+// store. The zero value (no writer, no reader) is a fresh location.
 type cell struct {
 	writer access
 	reader access
@@ -143,7 +145,7 @@ type Detector struct {
 	children map[guest.TID][]guest.TID
 	parent   map[guest.TID]guest.TID
 
-	shadow map[uint64]*cell
+	shadow *varmap.Map[cell]
 	races  []Race
 	// MaxRaces caps stored reports (further races are counted only).
 	MaxRaces int
@@ -167,7 +169,7 @@ func New() *Detector {
 		pending:  make(map[guest.TID]*node),
 		children: make(map[guest.TID][]guest.TID),
 		parent:   make(map[guest.TID]guest.TID),
-		shadow:   make(map[uint64]*cell),
+		shadow:   varmap.New[cell](),
 		MaxRaces: defaultMaxRaces,
 	}
 	d.nodes[1] = &node{kind: bagS, task: 1}
@@ -256,11 +258,7 @@ func (d *Detector) report(addr uint64, prev access, prevWrite bool, cur access, 
 func (d *Detector) OnAccess(tid guest.TID, pc isa.PC, addr uint64, size uint8, write bool) {
 	d.charge(d.costs.AnalysisFast)
 	key := addr &^ 7
-	c := d.shadow[key]
-	if c == nil {
-		c = &cell{}
-		d.shadow[key] = c
-	}
+	c := d.shadow.Cell(key)
 	cur := access{task: tid, pc: pc}
 	if write {
 		d.C.Writes++

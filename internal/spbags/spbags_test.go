@@ -252,3 +252,44 @@ func TestSerialDFSExecutionOrder(t *testing.T) {
 		t.Error("no joins processed")
 	}
 }
+
+// joinedTask returns a detector in which task 2 wrote 0x2000 and was then
+// joined by the main task, so the main task's accesses to it are serial.
+func joinedTask() *spbags.Detector {
+	d := spbags.New()
+	d.OnFork(1, 2)
+	d.OnAccess(2, 1, 0x2000, 8, true)
+	d.OnExit(2)
+	d.OnJoin(1, 2)
+	d.OnAccess(1, 2, 0x1000, 8, true)
+	return d
+}
+
+// TestAccessPathNoAllocs pins the steady-state access contract: reads and
+// writes to already touched locations allocate nothing.
+func TestAccessPathNoAllocs(t *testing.T) {
+	d := joinedTask()
+	if n := testing.AllocsPerRun(200, func() {
+		d.OnAccess(1, 3, 0x1000, 8, false)
+		d.OnAccess(1, 3, 0x1000, 8, true)
+		d.OnAccess(1, 4, 0x2000, 8, false)
+		d.OnAccess(1, 4, 0x2000, 8, true)
+	}); n != 0 {
+		t.Errorf("steady-state accesses allocate %.1f objects per round, want 0", n)
+	}
+	if !d.RaceFree() {
+		t.Error("serial accesses after a join reported a race")
+	}
+}
+
+// BenchmarkAccessPath measures one read and one write of a location last
+// written by a joined task.
+func BenchmarkAccessPath(b *testing.B) {
+	d := joinedTask()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.OnAccess(1, 4, 0x2000, 8, false)
+		d.OnAccess(1, 4, 0x2000, 8, true)
+	}
+}
