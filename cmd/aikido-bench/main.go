@@ -8,13 +8,11 @@
 //
 //	aikido-bench [-experiment all|fig5|fig6|table1|table2|ablation|paging|
 //	              switch|providers|detectors|muxbench|epochs|deferred|vector|
-//	              parallel|phase|static|scaling|nondet|stm|crew]
+//	              phase|static|scaling|nondet|stm|crew]
 //	             [-scale F] [-threads N] [-workers N] [-json FILE]
 //	             [-muxjson FILE] [-epochjson FILE] [-deferredjson FILE]
-//	             [-vecjson FILE] [-paralleljson FILE] [-phasejson FILE]
-//	             [-staticjson FILE]
-//	             [-epoch] [-dispatch inline|deferred|vectorized|parallel|phased]
-//	             [-analysis-workers N]
+//	             [-vecjson FILE] [-phasejson FILE] [-staticjson FILE]
+//	             [-epoch] [-dispatch inline|deferred|vectorized|phased]
 //	             [-analysis NAME[,NAME...]] [-deterministic]
 //	aikido-bench -experiment chaos [-chaos PLAN] [-scale F] [-workers N]
 //	aikido-bench -compare OLD.json,NEW.json [-max-regress-pct P]
@@ -53,25 +51,16 @@
 // cell: inline clean calls per access (the default), deferred per-thread
 // rings drained in batches at synchronization boundaries, vectorized —
 // deferred plus page-grouped batch kernels that run-length coalesce
-// same-state records — or parallel, which additionally fans the page
-// groups of each drained batch out across -analysis-workers analysis
-// worker goroutines (page % N sharding; sync events are full barriers and
-// findings reconcile in canonical order). Under the default cost model
-// all four are byte-identical at any worker count — CI's equivalence legs
-// diff "-dispatch deferred", "-dispatch vectorized" and "-dispatch
-// parallel -analysis-workers 1/4/8" reports against the inline baseline
-// to pin exactly that. The deferred experiment (and -deferredjson, the
+// same-state records. Under the default cost model all three are
+// byte-identical — CI's equivalence legs diff "-dispatch deferred" and
+// "-dispatch vectorized" reports against the inline baseline to pin
+// exactly that. The deferred experiment (and -deferredjson, the
 // BENCH_5.json source) measures the batching win under the explicit
 // transition-cost model (stats.DispatchCosts); the vector experiment (and
 // -vecjson, the BENCH_7.json source) measures what the vectorized kernels
-// recover on top of BENCH_5's deferred-scalar cells; the parallel
-// experiment (and -paralleljson, the BENCH_8.json source) measures what
-// page-sharded fan-out at 2/4/8 workers recovers on top of BENCH_7's
-// vectorized cells (per drain: a fixed fan-out/join cost plus a
-// reconciliation term per active shard, against retiring the batch at
-// the slowest shard instead of the sum of all shards); phased — inline
-// delivery for joined pages plus Doppel-style split phases for hot ones
-// (see docs/phases.md): pages the sharing detector classifies as
+// recover on top of BENCH_5's deferred-scalar cells. The fourth mode is
+// phased — inline delivery for joined pages plus Doppel-style split
+// phases for hot ones (see docs/phases.md): pages the sharing detector classifies as
 // many-writer-every-epoch bank their accesses in per-thread delta rings
 // at PhaseBankRecord instead of paying the per-access clean call, and a
 // reconciliation merge folds the deltas into canonical shadow state —
@@ -97,8 +86,8 @@
 //
 // -experiment chaos is the fault-isolation acceptance harness and is NOT
 // part of "all": it runs the chaos matrix (every Figure-5 model×mode cell
-// plus the epoch suite's demoting workloads, the Zipf parallel cells and
-// the hot phased cells) under the deterministic
+// plus the epoch suite's demoting workloads and the hot phased cells)
+// under the deterministic
 // fault-injection plan given with -chaos ("[seed=N;]KIND:SEAM[@COUNT];…",
 // see internal/faultinject), and exits nonzero if any containment
 // contract breaks — an injected fault escaping as a process crash, a
@@ -116,6 +105,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 
@@ -125,7 +115,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("experiment", "all", "which experiment: all, fig5, fig6, table1, table2, ablation, paging, switch, providers, detectors, muxbench, epochs, deferred, vector, parallel, phase, static, scaling, nondet, stm, crew")
+	exp := flag.String("experiment", "all", "which experiment: all, fig5, fig6, table1, table2, ablation, paging, switch, providers, detectors, muxbench, epochs, deferred, vector, phase, static, scaling, nondet, stm, crew")
 	scale := flag.Float64("scale", 1.0, "workload size multiplier (1.0 = simsmall-scaled default)")
 	threads := flag.Int("threads", 0, "override worker threads (0 = benchmark default, 8)")
 	workers := flag.Int("workers", runtime.NumCPU(), "runner pool size for the experiment sweep (results are identical at any value)")
@@ -134,18 +124,20 @@ func main() {
 	epochOut := flag.String("epochjson", "", "write the epoch re-privatization report (BENCH_4.json snapshots) to this file (\"-\" = stdout)")
 	deferredOut := flag.String("deferredjson", "", "write the deferred-dispatch amortization report (BENCH_5.json snapshots) to this file (\"-\" = stdout)")
 	vecOut := flag.String("vecjson", "", "write the batch-vectorization report (BENCH_7.json snapshots) to this file (\"-\" = stdout)")
-	parOut := flag.String("paralleljson", "", "write the parallel-analysis fan-out report (BENCH_8.json snapshots) to this file (\"-\" = stdout)")
 	phaseOut := flag.String("phasejson", "", "write the split-phase hot-page report (BENCH_9.json snapshots) to this file (\"-\" = stdout)")
 	staticOut := flag.String("staticjson", "", "write the static privacy pre-pass report (BENCH_10.json snapshots) to this file (\"-\" = stdout)")
 	epoch := flag.Bool("epoch", false, "enable epoch-based re-privatization in every Aikido cell (CI diffs this against the baseline)")
-	dispatch := flag.String("dispatch", "inline", "analysis dispatch mode for every analysis-bearing cell: inline, deferred, vectorized, parallel or phased (CI diffs every non-inline mode against the inline baseline)")
-	analysisWorkers := flag.Int("analysis-workers", 0, "with -dispatch parallel: analysis worker goroutines per cell (<1 = 1; reports are byte-identical at any value)")
+	dispatch := flag.String("dispatch", "inline", "analysis dispatch mode for every analysis-bearing cell: inline, deferred, vectorized or phased (CI diffs every non-inline mode against the inline baseline)")
 	det := flag.Bool("deterministic", false, "zero wall_ns in machine-readable reports so output bytes depend only on simulated metrics")
 	analyses := flag.String("analysis", "", "comma-separated analyses for every analysis-bearing cell (registry names; empty = default FastTrack)")
 	chaosPlan := flag.String("chaos", "", "with -experiment chaos: the fault-injection plan [seed=N;]KIND:SEAM[@COUNT];... (empty = idle-overhead identity check)")
 	compare := flag.String("compare", "", "OLD.json,NEW.json: compare two BENCH snapshots of one schema and fail on regression (CI gate)")
 	maxRegress := flag.Float64("max-regress-pct", 5, "with -compare, the allowed geomean-cycle-speedup regression in percent")
 	flag.Parse()
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		fmt.Fprintf(os.Stderr, "aikido-bench: -scale must be a finite number > 0, got %v\n", *scale)
+		os.Exit(2)
+	}
 
 	if *compare != "" {
 		oldPath, newPath, err := experiments.ParseComparePair(*compare)
@@ -171,7 +163,7 @@ func main() {
 	}
 	o := experiments.Options{Scale: *scale, Threads: *threads, Workers: *workers,
 		Deterministic: *det, Analyses: analysis.ParseList(*analyses), Epoch: *epoch,
-		Dispatch: dm, AnalysisWorkers: *analysisWorkers}
+		Dispatch: dm}
 	w := os.Stdout
 
 	// The chaos harness replaces the text experiments entirely (and is
@@ -202,11 +194,11 @@ func main() {
 		return f
 	}
 
-	// -json, -muxjson, -epochjson, -deferredjson, -vecjson, -paralleljson,
-	// -phasejson and -staticjson each replace the text experiments; given
-	// together, every requested report is produced.
+	// -json, -muxjson, -epochjson, -deferredjson, -vecjson, -phasejson and
+	// -staticjson each replace the text experiments; given together, every
+	// requested report is produced.
 	if *jsonOut != "" || *muxOut != "" || *epochOut != "" || *deferredOut != "" ||
-		*vecOut != "" || *parOut != "" || *phaseOut != "" || *staticOut != "" {
+		*vecOut != "" || *phaseOut != "" || *staticOut != "" {
 		if *jsonOut != "" {
 			rep, err := experiments.BenchJSON(o)
 			if err != nil {
@@ -278,21 +270,6 @@ func main() {
 				defer out.Close()
 			}
 			if err := experiments.WriteVectorJSON(out, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *parOut != "" {
-			rep, err := experiments.ParallelJSON(o)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "aikido-bench: paralleljson: %v\n", err)
-				os.Exit(1)
-			}
-			out := openOut(*parOut)
-			if out != os.Stdout {
-				defer out.Close()
-			}
-			if err := experiments.WriteParallelJSON(out, rep); err != nil {
 				fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
 				os.Exit(1)
 			}
@@ -443,14 +420,6 @@ func main() {
 			return err
 		}
 		experiments.WriteVectorAmortization(w, rows)
-		return nil
-	})
-	run("parallel", func() error {
-		rows, err := experiments.ParallelAmortization(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteParallelAmortization(w, rows)
 		return nil
 	})
 	run("phase", func() error {

@@ -7,8 +7,7 @@
 //	aikido-run [-bench NAME|all] [-mode native|dbi|fasttrack|aikido|profile]
 //	           [-analysis NAME[,NAME...]] [-max-findings N] [-epoch]
 //	           [-static] [-static-verify]
-//	           [-dispatch inline|deferred|vectorized|parallel|phased]
-//	           [-analysis-workers N]
+//	           [-dispatch inline|deferred|vectorized|phased]
 //	           [-provider aikidovm|dos|dthreads] [-paging shadow|nested]
 //	           [-switch hypercall|segtrap|probe]
 //	           [-threads N] [-scale F] [-workers N] [-findings] [-list]
@@ -39,15 +38,7 @@
 // to the detectors' batch kernels, which coalesce same-epoch runs and
 // retire report-free singletons against one hoisted metadata load —
 // still byte-identical to inline under the default cost model. -dispatch
-// parallel fans the page groups of each drained batch out across
-// -analysis-workers analysis worker goroutines (page % N sharding, each
-// worker owning a full replica of the selected analyses over its pages;
-// sync events are full barriers and per-worker findings reconcile in
-// canonical event order), and the report is byte-identical to inline at
-// ANY worker count — only wall-clock varies. A worker fault (see -chaos,
-// seam "worker") replays the batch inline and latches inline dispatch for
-// the rest of the run; a selection containing an analysis without shard
-// support degrades to vectorized dispatch. -dispatch phased delivers
+// phased delivers
 // joined pages inline but flips pages the sharing detector classifies as
 // hot — many-writer every epoch for a sustained streak — into
 // Doppel-style split phases (docs/phases.md): split-page accesses bank
@@ -82,8 +73,9 @@
 // Fault isolation (see internal/faultinject and ARCHITECTURE.md):
 // -chaos injects a deterministic fault plan ("seed=N;KIND:SEAM[@COUNT];…"
 // with kinds panic|error|stall and seams
-// provider|guest|drain|worker|analysis|reconcile|static) into every cell; -max-cycles and -cell-deadline bound each cell's
-// simulated-cycle and wall-clock consumption with typed budget errors;
+// provider|guest|drain|analysis|reconcile|static) into every cell;
+// -max-cycles and -cell-deadline bound each cell's simulated-cycle and
+// wall-clock consumption with typed budget errors;
 // -keep-going records failing cells in the report and finishes the rest
 // of the sweep instead of aborting on the first error.
 //
@@ -101,6 +93,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 
@@ -133,8 +126,7 @@ func run(args []string) int {
 	epoch := fs.Bool("epoch", false, "enable epoch-based re-privatization of Shared pages (Aikido modes)")
 	static := fs.Bool("static", false, "enable the static privacy pre-pass: prune instrumentation of provably-private PCs and pre-seed single-owner pages (Aikido modes; findings identical to off)")
 	staticVerify := fs.Bool("static-verify", false, "implies -static; add a tripwire assertion to every pruned PC that hard-fails if its proof is refuted at runtime")
-	dispatch := fs.String("dispatch", "inline", "analysis dispatch mode: inline (per access), deferred (batched ring drains), vectorized (batched + page-grouped kernels), parallel (page-sharded worker fan-out) or phased (split-phase hot-page banking; implies -epoch)")
-	analysisWorkers := fs.Int("analysis-workers", 0, "with -dispatch parallel: analysis worker goroutines (<1 = 1; output is byte-identical at any value)")
+	dispatch := fs.String("dispatch", "inline", "analysis dispatch mode: inline (per access), deferred (batched ring drains), vectorized (batched + page-grouped kernels) or phased (split-phase hot-page banking; implies -epoch)")
 	prov := fs.String("provider", "aikidovm", "per-thread protection provider: aikidovm, dos, dthreads (§7.1)")
 	paging := fs.String("paging", "shadow", "AikidoVM paging mode: shadow, nested (§3.2.2)")
 	swi := fs.String("switch", "hypercall", "context-switch interception: hypercall, segtrap, probe (§3.2.3)")
@@ -145,7 +137,7 @@ func run(args []string) int {
 	races := fs.Bool("races", false, "alias for -findings")
 	list := fs.Bool("list", false, "list benchmarks and exit")
 	listAn := fs.Bool("list-analyses", false, "list registered analyses and exit")
-	chaos := fs.String("chaos", "", "fault-injection plan: [seed=N;]KIND:SEAM[@COUNT];... (kinds panic|error|stall, seams provider|guest|drain|worker|analysis|reconcile|static)")
+	chaos := fs.String("chaos", "", "fault-injection plan: [seed=N;]KIND:SEAM[@COUNT];... (kinds panic|error|stall, seams provider|guest|drain|analysis|reconcile|static)")
 	maxCycles := fs.Uint64("max-cycles", 0, "per-cell simulated-cycle budget (0 = unlimited); overrun is a typed cell error")
 	cellDeadline := fs.Duration("cell-deadline", 0, "per-cell wall-clock budget (0 = unlimited); overrun is a typed cell error")
 	keepGoing := fs.Bool("keep-going", false, "record failing cells and finish the sweep instead of aborting on the first error")
@@ -153,6 +145,10 @@ func run(args []string) int {
 		if errors.Is(err, flag.ErrHelp) {
 			return exitClean
 		}
+		return exitBadFlags
+	}
+	if !(*scale > 0) || math.IsInf(*scale, 1) {
+		fmt.Fprintf(os.Stderr, "aikido-run: -scale must be a finite number > 0, got %v\n", *scale)
 		return exitBadFlags
 	}
 	printFindings := *findings || *races
@@ -222,7 +218,6 @@ func run(args []string) int {
 		return exitBadFlags
 	}
 	cfg.Dispatch = dm
-	cfg.AnalysisWorkers = *analysisWorkers
 	cfg.Provider = pk
 	cfg.Paging = pg
 	cfg.Switch = sw
@@ -339,10 +334,6 @@ func run(args []string) int {
 	if res.DeferredGroups > 0 {
 		fmt.Printf("vector groups    %d (%d records retired in-kernel, %d scalar fallbacks)\n",
 			res.DeferredGroups, res.VectorCoalesced, res.VectorFallbacks)
-	}
-	if res.ParallelDrains > 0 {
-		fmt.Printf("parallel drains  %d (%d page-straddle splits)\n",
-			res.ParallelDrains, res.ParallelSplits)
 	}
 	if res.PhaseReconciles > 0 || res.PhaseBanked > 0 {
 		fmt.Printf("phase reconciles %d (%d records banked, %d pages split, %d rejoined)\n",

@@ -25,15 +25,6 @@ type AccessRecord struct {
 	// Write and Shared pack the access kind.
 	Write  bool
 	Shared bool
-	// Cont marks the continuation half of a page-straddling access that
-	// the parallel dispatch coordinator split at the page boundary so each
-	// half lands in its own shard. A Cont record carries the same Seq, PC,
-	// TID and kind as its head; consumers perform only the per-block
-	// shadow-state work for it — the per-access accounting (contention
-	// charge, per-access counters, first-block attribution) belongs to the
-	// head. Rings never bank Cont records: the flag is false everywhere
-	// outside a parallel drain.
-	Cont bool
 }
 
 // BatchAnalysis is the optional batch entry point an Analysis may

@@ -107,14 +107,6 @@ type Detector struct {
 	// of Counters so findings stay byte-identical across dispatch modes.
 	vec vecStats
 
-	// shard marks a parallel-dispatch replica: violations are stored
-	// uncapped and tagged with curSeq (the sequence number of the record
-	// the batch kernel is currently retiring), so MergeShards can
-	// interleave the shards' reports back into global order.
-	shard   bool
-	curSeq  uint64
-	vioSeqs []uint64
-
 	C Counters
 }
 
@@ -252,9 +244,6 @@ func (d *Detector) report(vs *varState, v Violation) {
 	vs.reported = true
 	if len(d.violations) < d.MaxViolations {
 		d.violations = append(d.violations, v)
-		if d.shard {
-			d.vioSeqs = append(d.vioSeqs, d.curSeq)
-		}
 	}
 }
 

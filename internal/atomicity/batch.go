@@ -50,15 +50,6 @@ func (d *Detector) OnAccessGroups(recs []analysis.AccessRecord, groups []analysi
 	for _, g := range groups {
 		for i := g.Start; i < g.End; {
 			r := &recs[i]
-			d.curSeq = r.Seq
-			if r.Cont {
-				// Continuation half of a split page-straddling access:
-				// per-block interleaving state only — the head shard owns
-				// the per-access count and charge.
-				d.contFallback(r)
-				i++
-				continue
-			}
 			first := r.Addr &^ blockMask
 			if (r.Addr+uint64(r.Size)-1)&^blockMask != first {
 				// Block-straddling access: per-block interleaving state.
@@ -73,7 +64,7 @@ func (d *Detector) OnAccessGroups(recs []analysis.AccessRecord, groups []analysi
 			j := i + 1
 			for j < g.End {
 				n := &recs[j]
-				if n.Cont || n.TID != r.TID || n.Write != r.Write ||
+				if n.TID != r.TID || n.Write != r.Write ||
 					n.Addr&^blockMask != first ||
 					(n.Addr+uint64(n.Size)-1)&^blockMask != first {
 					break
@@ -130,25 +121,6 @@ func (d *Detector) OnAccessGroups(recs []analysis.AccessRecord, groups []analysi
 			}
 			i = j
 		}
-	}
-}
-
-// contFallback retires the continuation half of a split page-straddling
-// access: the per-block interleaving state machine runs exactly as the
-// scalar per-block loop would for these blocks, but the per-access
-// Reads/Writes count and AnalysisFast + contention charge are skipped —
-// the head half, dispatched to the shard owning the first page, already
-// paid them (OnAccess counts and charges once per access, not per block).
-func (d *Detector) contFallback(r *analysis.AccessRecord) {
-	d.vec.fallbacks++
-	if c := d.costs.BatchPerRecord; c != 0 {
-		d.clock.Charge(c)
-	}
-	blockMask := uint64(1)<<BlockShift - 1
-	first := r.Addr &^ blockMask
-	last := (r.Addr + uint64(r.Size) - 1) &^ blockMask
-	for b := first; b <= last; b += 1 << BlockShift {
-		d.access(r.TID, r.PC, b, r.Write)
 	}
 }
 

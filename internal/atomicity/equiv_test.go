@@ -18,7 +18,6 @@ import (
 type refDetector struct {
 	costs      stats.CostModel
 	cycles     uint64
-	syncCycles uint64 // the part of cycles charged by lock events
 	live       int
 	depth      map[guest.TID]int
 	region     map[guest.TID]uint64
@@ -49,7 +48,6 @@ func newRef(live int) *refDetector {
 func (r *refDetector) acquire(t guest.TID) {
 	r.C.SyncOps++
 	r.cycles += r.costs.AnalysisSync
-	r.syncCycles += r.costs.AnalysisSync
 	if r.depth[t] == 0 {
 		r.nextRegion++
 		r.region[t] = r.nextRegion
@@ -61,7 +59,6 @@ func (r *refDetector) acquire(t guest.TID) {
 func (r *refDetector) release(t guest.TID) {
 	r.C.SyncOps++
 	r.cycles += r.costs.AnalysisSync
-	r.syncCycles += r.costs.AnalysisSync
 	if r.depth[t] > 0 {
 		r.depth[t]--
 		if r.depth[t] == 0 {
@@ -140,8 +137,7 @@ const (
 // genOps draws a random event sequence. Addresses cluster on a few
 // blocks per page so regions see remote interleavings, and runs of
 // repeated accesses exercise the batch kernel's coalescing. Accesses may
-// straddle blocks but never pages (the sharded replay routes each access
-// to one page's shard).
+// straddle blocks but never pages.
 func genOps(rng *rand.Rand, n int) []op {
 	sizes := []uint8{1, 2, 4, 8}
 	ops := make([]op, 0, n)
@@ -191,23 +187,9 @@ func (b *batcher) drain(deliver func(recs []analysis.AccessRecord, groups []anal
 	b.recs = b.recs[:0]
 }
 
-// routeByPage splits recs into per-shard batches by page, keeping order.
-func routeByPage(recs []analysis.AccessRecord, shards []analysis.Analysis) {
-	for i, s := range shards {
-		var mine []analysis.AccessRecord
-		for _, r := range recs {
-			if int((r.Addr>>12)%uint64(len(shards))) == i {
-				mine = append(mine, r)
-			}
-		}
-		if len(mine) > 0 {
-			s.(analysis.GroupedBatchAnalysis).OnAccessGroups(mine, analysis.GroupByPage(mine, nil))
-		}
-	}
-}
-
-// checkAgainstRef compares a detector's findings and counters with the
-// reference's.
+// checkAgainstRef compares a detector's findings, counters and block
+// store with the reference's: the store must hold exactly the reference's
+// variables, each in the reference's state.
 func checkAgainstRef(t *testing.T, seed int64, what string, d *Detector, ref *refDetector) {
 	t.Helper()
 	want := slices.Clone(ref.violations)
@@ -218,13 +200,28 @@ func checkAgainstRef(t *testing.T, seed int64, what string, d *Detector, ref *re
 	if d.C != ref.C {
 		t.Fatalf("seed %d (%s): counters %+v, want %+v", seed, what, d.C, ref.C)
 	}
+	touched := 0
+	for _, vs := range d.vars.Range {
+		if vs.touched {
+			touched++
+		}
+	}
+	if touched != len(ref.vars) {
+		t.Fatalf("seed %d (%s): store holds %d variables, want %d", seed, what, touched, len(ref.vars))
+	}
+	for b, rv := range ref.vars {
+		vs := d.vars.Cell(b)
+		got := refVar{vs.lastTID, vs.remoteTID, vs.lastRegion, vs.lastWrite, vs.remoteWrite, vs.remoteValid}
+		if !vs.touched || got != *rv {
+			t.Fatalf("seed %d (%s): var %#x = %+v, want %+v", seed, what, b, *vs, *rv)
+		}
+	}
 }
 
 // TestBlockStoreMatchesReference is the atomicity equivalence property:
 // on random lock/access sequences the detector reports exactly the naive
 // map-backed reference's violations, counters and cycles — through the
-// scalar hooks, through the vectorized OnAccessGroups kernel, and as
-// page-sharded replicas folded back by MergeShards.
+// scalar hooks and through the vectorized OnAccessGroups kernel.
 func TestBlockStoreMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		ops := genOps(rand.New(rand.NewSource(seed)), 300)
@@ -238,21 +235,10 @@ func TestBlockStoreMatchesReference(t *testing.T) {
 		}
 		scalar, scalarClock := newDet()
 		grouped, groupedClock := newDet()
-		primary, primaryClock := newDet()
-		shards := make([]analysis.Analysis, 2)
-		shardClocks := make([]*stats.Clock, len(shards))
-		for i := range shards {
-			shardClocks[i] = &stats.Clock{}
-			shards[i] = primary.NewShard(shardClocks[i])
-			shards[i].AddThread(genThreads)
-		}
 
-		var gb, sb batcher
-		drain := func() {
-			gb.drain(grouped.OnAccessGroups)
-			sb.drain(func(recs []analysis.AccessRecord, _ []analysis.AccessGroup) { routeByPage(recs, shards) })
-		}
-		all := append([]analysis.Analysis{scalar, grouped, primary}, shards...)
+		var gb batcher
+		drain := func() { gb.drain(grouped.OnAccessGroups) }
+		all := []analysis.Analysis{scalar, grouped}
 		for _, o := range ops {
 			switch o.kind {
 			case 0:
@@ -271,7 +257,6 @@ func TestBlockStoreMatchesReference(t *testing.T) {
 				ref.access(o.tid, o.pc, o.addr, o.size, o.write)
 				scalar.OnAccess(o.tid, o.pc, o.addr, o.size, o.write)
 				gb.push(o)
-				sb.push(o)
 			}
 		}
 		drain()
@@ -281,33 +266,6 @@ func TestBlockStoreMatchesReference(t *testing.T) {
 		if scalarClock.Cycles() != ref.cycles || groupedClock.Cycles() != ref.cycles {
 			t.Fatalf("seed %d: cycles scalar %d grouped %d, want %d",
 				seed, scalarClock.Cycles(), groupedClock.Cycles(), ref.cycles)
-		}
-
-		primary.MergeShards(shards)
-		checkAgainstRef(t, seed, "sharded", primary, ref)
-		// Every replica pays for every lock event; access work is split.
-		cycles := primaryClock.Cycles()
-		for _, c := range shardClocks {
-			cycles += c.Cycles() - ref.syncCycles
-		}
-		if cycles != ref.cycles {
-			t.Fatalf("seed %d: sharded cycles %d, want %d", seed, cycles, ref.cycles)
-		}
-		touched := 0
-		for _, vs := range primary.vars.Range {
-			if vs.touched {
-				touched++
-			}
-		}
-		if touched != len(ref.vars) {
-			t.Fatalf("seed %d: merged store holds %d variables, want %d", seed, touched, len(ref.vars))
-		}
-		for b, rv := range ref.vars {
-			vs := primary.vars.Cell(b)
-			got := refVar{vs.lastTID, vs.remoteTID, vs.lastRegion, vs.lastWrite, vs.remoteWrite, vs.remoteValid}
-			if !vs.touched || got != *rv {
-				t.Fatalf("seed %d: merged var %#x = %+v, want %+v", seed, b, *vs, *rv)
-			}
 		}
 	}
 }

@@ -52,19 +52,11 @@ func (a *Analysis) OnAccessGroups(recs []analysis.AccessRecord, groups []analysi
 	for _, g := range groups {
 		for i := g.Start; i < g.End; {
 			r := &recs[i]
-			if r.Cont {
-				// Continuation half of a split page-straddling access:
-				// observe() keys on the first 8-byte-aligned address only,
-				// which belongs to the head's page — the head shard already
-				// performed the whole observation. Nothing to do here.
-				i++
-				continue
-			}
 			key := r.Addr &^ 7
 			j := i + 1
 			for j < g.End {
 				n := &recs[j]
-				if n.Cont || n.TID != r.TID || n.Write != r.Write || n.Addr&^7 != key {
+				if n.TID != r.TID || n.Write != r.Write || n.Addr&^7 != key {
 					break
 				}
 				j++

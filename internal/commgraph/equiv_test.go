@@ -76,8 +76,7 @@ const (
 
 // genOps draws a random access sequence over a few blocks per page, in
 // runs of repeats (the batch kernel's coalescing case). Accesses stay in
-// the first 40 bytes of a page, so the sharded replay can route each to
-// one shard.
+// the first 40 bytes of a page.
 func genOps(rng *rand.Rand, n int) []op {
 	sizes := []uint8{1, 2, 4, 8}
 	ops := make([]op, 0, n)
@@ -129,8 +128,7 @@ func checkAgainstRef(t *testing.T, seed int64, what string, a *Analysis, ref *re
 // TestBlockStoreMatchesReference is the commgraph equivalence property:
 // on random access sequences the profiler records exactly the naive
 // map-backed reference's graph, counters and cycles — through the scalar
-// hook, through the vectorized OnAccessGroups kernel, and as page-sharded
-// replicas folded back by MergeShards.
+// hook and through the vectorized OnAccessGroups kernel.
 func TestBlockStoreMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		ops := genOps(rand.New(rand.NewSource(seed)), 300)
@@ -139,13 +137,6 @@ func TestBlockStoreMatchesReference(t *testing.T) {
 		scalarClock, groupedClock := &stats.Clock{}, &stats.Clock{}
 		scalar := New(scalarClock, stats.DefaultCosts())
 		grouped := New(groupedClock, stats.DefaultCosts())
-		primary := New(&stats.Clock{}, stats.DefaultCosts())
-		shards := make([]analysis.Analysis, 2)
-		shardClocks := make([]*stats.Clock, len(shards))
-		for i := range shards {
-			shardClocks[i] = &stats.Clock{}
-			shards[i] = primary.NewShard(shardClocks[i])
-		}
 
 		var recs []analysis.AccessRecord
 		drain := func() {
@@ -153,15 +144,6 @@ func TestBlockStoreMatchesReference(t *testing.T) {
 				return
 			}
 			grouped.OnAccessGroups(recs, analysis.GroupByPage(recs, nil))
-			for i, s := range shards {
-				var mine []analysis.AccessRecord
-				for _, r := range recs {
-					if int(vm.PageNum(r.Addr)%uint64(len(shards))) == i {
-						mine = append(mine, r)
-					}
-				}
-				s.(*Analysis).OnAccessGroups(mine, analysis.GroupByPage(mine, nil))
-			}
 			recs = recs[:0]
 		}
 		for i, o := range ops {
@@ -181,16 +163,6 @@ func TestBlockStoreMatchesReference(t *testing.T) {
 		if scalarClock.Cycles() != ref.cycles || groupedClock.Cycles() != ref.cycles {
 			t.Fatalf("seed %d: cycles scalar %d grouped %d, want %d",
 				seed, scalarClock.Cycles(), groupedClock.Cycles(), ref.cycles)
-		}
-
-		primary.MergeShards(shards)
-		checkAgainstRef(t, seed, "sharded", primary, ref)
-		var cycles uint64
-		for _, c := range shardClocks {
-			cycles += c.Cycles()
-		}
-		if cycles != ref.cycles {
-			t.Fatalf("seed %d: sharded cycles %d, want %d", seed, cycles, ref.cycles)
 		}
 	}
 }

@@ -18,8 +18,6 @@ package core
 //	           empty plan leaves every byte-identity contract intact.
 //	drain    — inside pipeline.drain (dispatch.go), with the
 //	           deferred→inline fallback as the error-kind response.
-//	worker   — also inside pipeline.drain, before the parallel fan-out;
-//	           same degradation (merge replicas, replay inline, latch).
 //	reconcile — pipeline.drain under phased dispatch (it replaces the
 //	           drain seam there): the split-phase reconciliation merge,
 //	           fired only with banked deltas pending. Error-kind faults

@@ -132,12 +132,9 @@ func TestDrainFallbackByteIdentical(t *testing.T) {
 	cfg := DefaultConfig(ModeAikidoFastTrack)
 	inline := runDispatch(t, prog, cfg, DispatchInline)
 
-	for _, mode := range []DispatchMode{DispatchDeferred, DispatchVectorized, DispatchParallel} {
+	for _, mode := range []DispatchMode{DispatchDeferred, DispatchVectorized} {
 		chaosCfg := cfg
 		chaosCfg.Chaos = mustPlan(t, "error:drain@2")
-		if mode == DispatchParallel {
-			chaosCfg.AnalysisWorkers = 3
-		}
 		fallen := runDispatch(t, prog, chaosCfg, mode)
 		if fallen.DeferredFallbacks != 1 {
 			t.Fatalf("%v: DeferredFallbacks = %d, want exactly 1 (one-shot trigger)",
@@ -147,39 +144,6 @@ func TestDrainFallbackByteIdentical(t *testing.T) {
 			t.Fatalf("%v: fallback run never ran deferred — the equivalence is vacuous", mode)
 		}
 		requireIdentical(t, bench.Name+"/fallback/"+mode.String(), inline, fallen)
-	}
-}
-
-// TestWorkerFallbackByteIdentical extends the degradation contract to the
-// parallel pool's own seam: a worker-seam error during a parallel drain
-// fires BEFORE the batch is split or fanned out, so the pipeline folds the
-// shard replicas back into the primary stack, replays the original merged
-// batch inline, and latches inline — byte-identical to a clean inline run.
-// The first drain must have completed in parallel (the replicas held real
-// sharded state when the fault hit) or the merge-then-replay path proves
-// nothing.
-func TestWorkerFallbackByteIdentical(t *testing.T) {
-	bench := parsec.All()[0].WithScale(0.25)
-	prog, err := workload.Build(bench.Spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(ModeAikidoFastTrack)
-	inline := runDispatch(t, prog, cfg, DispatchInline)
-
-	for _, workers := range []int{1, 4} {
-		chaosCfg := cfg
-		chaosCfg.Chaos = mustPlan(t, "error:worker@2")
-		chaosCfg.AnalysisWorkers = workers
-		fallen := runDispatch(t, prog, chaosCfg, DispatchParallel)
-		if fallen.DeferredFallbacks != 1 {
-			t.Fatalf("workers=%d: DeferredFallbacks = %d, want exactly 1 (one-shot trigger)",
-				workers, fallen.DeferredFallbacks)
-		}
-		if fallen.ParallelDrains == 0 {
-			t.Fatalf("workers=%d: no drain completed in parallel before the fault — the merge path is vacuous", workers)
-		}
-		requireIdentical(t, bench.Name+"/worker-fallback", inline, fallen)
 	}
 }
 
@@ -193,12 +157,9 @@ func TestChaosEmptyPlanByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dispatch := range []DispatchMode{DispatchInline, DispatchDeferred, DispatchVectorized, DispatchParallel} {
+	for _, dispatch := range []DispatchMode{DispatchInline, DispatchDeferred, DispatchVectorized} {
 		cfg := DefaultConfig(ModeAikidoFastTrack)
 		cfg.Dispatch = dispatch
-		if dispatch == DispatchParallel {
-			cfg.AnalysisWorkers = 4
-		}
 		plain, err := Run(prog, cfg)
 		if err != nil {
 			t.Fatal(err)

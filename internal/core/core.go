@@ -143,14 +143,6 @@ type Config struct {
 	// invariant.
 	Dispatch DispatchMode
 
-	// AnalysisWorkers sets how many analysis worker goroutines
-	// DispatchParallel fans each drained batch out to (values < 1 mean
-	// 1). Findings, counters and simulated cycles are byte-identical at
-	// any worker count — sharding changes which goroutine retires a page
-	// group, never what the analyses compute — so only wall-clock time
-	// varies with it. Ignored by the other dispatch modes.
-	AnalysisWorkers int
-
 	// NoMirror is an ablation: instead of redirecting shared accesses to
 	// mirror pages, AikidoSD unprotects the page around every shared
 	// access and reprotects it afterwards (the strategy mirror pages
@@ -692,22 +684,15 @@ type Result struct {
 	// of the run. DeferredGroups counts page groups cut by vectorized
 	// dispatch, and VectorCoalesced/VectorFallbacks sum what the
 	// vectorized kernels did with their records (run-length retired vs
-	// punted to the scalar hook). All six are 0 under inline dispatch.
+	// punted to the scalar hook). All six are 0 under inline dispatch,
+	// and they are the only Result fields that may differ between
+	// dispatch modes.
 	DeferredDrains    uint64
 	DeferredRecords   uint64
 	DeferredFallbacks uint64
 	DeferredGroups    uint64
 	VectorCoalesced   uint64
 	VectorFallbacks   uint64
-
-	// ParallelDrains counts drains fanned out across the analysis worker
-	// pool, and ParallelSplits the page-straddling access records split
-	// at a 4 KiB boundary before fan-out. Both are 0 outside
-	// DispatchParallel and independent of Config.AnalysisWorkers; along
-	// with the six counters above they are the only Result fields that
-	// may differ between dispatch modes.
-	ParallelDrains uint64
-	ParallelSplits uint64
 
 	// PhaseReconciles counts split-phase reconciliation merges and
 	// PhaseBanked the access records banked through per-thread delta
@@ -734,12 +719,6 @@ func (s *System) Run() (*Result, error) {
 		// Anchor the wall budget at execution start, not assembly time.
 		s.wallStart = time.Now() //detlint:ok wall budget anchor; only read by the MaxWall safety check
 	}
-	if s.pipe != nil {
-		// Leak guard: stop the parallel worker goroutines even when the
-		// engine errors or a contained panic unwinds through Run.
-		// Idempotent, and a no-op outside parallel dispatch.
-		defer s.pipe.stopParallel()
-	}
 	eres, err := s.Engine.Run()
 	if err != nil {
 		return nil, err
@@ -749,12 +728,9 @@ func (s *System) Run() (*Result, error) {
 		// records banked between the last sync event and process exit
 		// (SysExit fires no thread-exit hook) still carry analysis
 		// charges, and inline dispatch landed those before the engine
-		// stopped. Under parallel dispatch this also folds the shard
-		// replicas back into the primary stack, so the Report() and
-		// vector-stat reads below see the whole run. eres.Cycles was
-		// snapshotted pre-drain, so the total is re-read from the shared
-		// clock below.
-		s.pipe.finalize()
+		// stopped. eres.Cycles was snapshotted pre-drain, so the total is
+		// re-read from the shared clock below.
+		s.pipe.drain()
 		eres.Cycles = s.Clock.Cycles()
 	}
 	r := &Result{
@@ -788,8 +764,6 @@ func (s *System) Run() (*Result, error) {
 		r.DeferredRecords = s.pipe.records
 		r.DeferredFallbacks = s.pipe.fallbacks
 		r.DeferredGroups = s.pipe.groupsN
-		r.ParallelDrains = s.pipe.pdrains
-		r.ParallelSplits = s.pipe.psplits
 		r.PhaseReconciles = s.pipe.preconciles
 		r.PhaseBanked = s.pipe.precs
 		for _, a := range s.Analyses {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -47,7 +48,6 @@ func stripDeferredCounters(r *Result) *Result {
 	c := *r
 	c.DeferredDrains, c.DeferredRecords, c.DeferredFallbacks = 0, 0, 0
 	c.DeferredGroups, c.VectorCoalesced, c.VectorFallbacks = 0, 0, 0
-	c.ParallelDrains, c.ParallelSplits = 0, 0
 	c.PhaseReconciles, c.PhaseBanked = 0, 0
 	return &c
 }
@@ -64,12 +64,19 @@ func runDispatch(t *testing.T, prog *isa.Program, cfg Config, d DispatchMode) *R
 }
 
 // requireIdentical asserts two runs are byte-identical outside the
-// pipeline's own counters.
+// pipeline's own counters, and that the batched run banked records.
 func requireIdentical(t *testing.T, label string, inline, deferred *Result) {
 	t.Helper()
 	if deferred.DeferredRecords == 0 {
 		t.Errorf("%s: deferred run banked no records — the equivalence is vacuous", label)
 	}
+	requireSameResult(t, label, inline, deferred)
+}
+
+// requireSameResult asserts two runs are byte-identical outside the
+// pipeline's own counters.
+func requireSameResult(t *testing.T, label string, inline, deferred *Result) {
+	t.Helper()
 	in, de := stripDeferredCounters(inline), stripDeferredCounters(deferred)
 	if in.Cycles != de.Cycles {
 		t.Errorf("%s: cycles diverge: inline %d, deferred %d", label, in.Cycles, de.Cycles)
@@ -365,20 +372,21 @@ func TestDeferredMergeRestoresGlobalOrder(t *testing.T) {
 func TestDispatchModeParsing(t *testing.T) {
 	for arg, want := range map[string]DispatchMode{
 		"": DispatchInline, "inline": DispatchInline, "deferred": DispatchDeferred,
-		"vectorized": DispatchVectorized, "parallel": DispatchParallel,
-		"phased": DispatchPhased,
+		"vectorized": DispatchVectorized, "phased": DispatchPhased,
 	} {
 		got, err := ParseDispatchMode(arg)
 		if err != nil || got != want {
 			t.Errorf("ParseDispatchMode(%q) = %v, %v", arg, got, err)
 		}
 	}
-	if _, err := ParseDispatchMode("sideways"); err == nil {
-		t.Error("unknown dispatch mode accepted")
+	// "parallel" named a dispatch mode that no longer exists.
+	for _, arg := range []string{"sideways", "parallel"} {
+		if _, err := ParseDispatchMode(arg); err == nil || !strings.Contains(err.Error(), "unknown dispatch mode") {
+			t.Errorf("ParseDispatchMode(%q): err = %v, want an unknown dispatch mode error", arg, err)
+		}
 	}
 	if DispatchInline.String() != "inline" || DispatchDeferred.String() != "deferred" ||
-		DispatchVectorized.String() != "vectorized" || DispatchParallel.String() != "parallel" ||
-		DispatchPhased.String() != "phased" {
+		DispatchVectorized.String() != "vectorized" || DispatchPhased.String() != "phased" {
 		t.Error("dispatch mode names diverge from the flag spellings")
 	}
 }

@@ -47,28 +47,6 @@ const (
 	// CostModel.BatchCoalescedRecord enables vector charging — the
 	// amortization BENCH_7 measures).
 	DispatchVectorized
-	// DispatchParallel is vectorized dispatch with each drain's kernel
-	// work fanned out across Config.AnalysisWorkers analysis goroutines.
-	// At every drain point the merged batch is first split at 4 KiB page
-	// boundaries (so no record spans two pages; the continuation half
-	// carries AccessRecord.Cont), cut into the same stable page groups as
-	// DispatchVectorized, and each group is routed to the worker owning
-	// its page (page % workers). Each worker runs a full replica of the
-	// analysis stack (analysis.Sharder) over a disjoint partition of the
-	// per-address shadow state, charging a private per-shard clock.
-	// Synchronization events, VMA changes and epoch sweeps remain full
-	// barriers: the drain joins every worker before the event is
-	// delivered, and the event is then broadcast to every replica so
-	// sync-derived state (vector clocks, regions, live threads) advances
-	// in lockstep. Per-shard findings are sequence-tagged and the
-	// replicas fold back into the primary stack in canonical
-	// page/sequence order at end of run — so findings, counters and
-	// cycles are byte-identical to the other dispatch modes at ANY
-	// worker count. Selections with a member lacking shard or
-	// grouped-kernel support fall back to DispatchVectorized; a chaos
-	// fault at the worker seam degrades the run to inline delivery
-	// exactly like a drain-seam fault.
-	DispatchParallel
 	// DispatchPhased is the Doppel-style split-phase refinement (phases
 	// borrowed from Narula et al.'s Doppel: contended records go through
 	// per-core split-phase stores, reconciled at the phase boundary). It
@@ -104,8 +82,6 @@ func (m DispatchMode) String() string {
 		return "deferred"
 	case DispatchVectorized:
 		return "vectorized"
-	case DispatchParallel:
-		return "parallel"
 	case DispatchPhased:
 		return "phased"
 	}
@@ -121,12 +97,10 @@ func ParseDispatchMode(s string) (DispatchMode, error) {
 		return DispatchDeferred, nil
 	case "vectorized":
 		return DispatchVectorized, nil
-	case "parallel":
-		return DispatchParallel, nil
 	case "phased":
 		return DispatchPhased, nil
 	}
-	return DispatchInline, fmt.Errorf("core: unknown dispatch mode %q (want inline, deferred, vectorized, parallel or phased)", s)
+	return DispatchInline, fmt.Errorf("core: unknown dispatch mode %q (want inline, deferred, vectorized or phased)", s)
 }
 
 // ringCap is the fixed per-thread ring capacity. A full ring forces a
@@ -184,15 +158,6 @@ type pipeline struct {
 	records   uint64
 	fallbacks uint64
 	groupsN   uint64
-
-	// par is the analysis worker pool (non-nil only under effective
-	// DispatchParallel). pdrains counts drains fanned out to it and
-	// psplits page-straddling records split at a 4 KiB boundary before
-	// fan-out; both are independent of the worker count, keeping every
-	// Result field byte-identical across -analysis-workers values.
-	par     *parallelPool
-	pdrains uint64
-	psplits uint64
 
 	// phased switches the pipeline to split-phase operation
 	// (DispatchPhased): the ordinary analysis surface delivers inline and
@@ -351,31 +316,6 @@ func (p *pipeline) drain() {
 		return
 	}
 
-	if p.par != nil {
-		// Chaos worker seam. It fires BEFORE the batch is split or any
-		// group is handed to a worker, so the fallback replays the
-		// original merged batch — the same graceful degradation as the
-		// drain seam: replicas fold back into the primary stack, the
-		// batch replays inline in exact sequence order, and the pipeline
-		// latches inline for the rest of the run.
-		if err := p.inj.Fire(faultinject.SeamWorker); err != nil {
-			p.degradeInline(out)
-			return
-		}
-		p.drains++
-		p.records += uint64(len(out))
-		// Split page-straddlers so every record lives on exactly one
-		// page, then group and fan out page-sharded. The split happens
-		// at any worker count (even 1), keeping record streams — and
-		// therefore kernel coalescing stats — worker-count-independent.
-		out = p.par.split(out)
-		p.groups = analysis.GroupByPage(out, p.groups[:0])
-		p.groupsN += uint64(len(p.groups))
-		p.par.dispatch(out, p.groups)
-		p.pdrains++
-		return
-	}
-
 	p.drains++
 	p.records += uint64(len(out))
 	if p.vectorize {
@@ -408,16 +348,10 @@ func (p *pipeline) drain() {
 }
 
 // degradeInline is the graceful-degradation path shared by the drain and
-// worker chaos seams: replay the merged batch record-by-record on the
+// reconcile chaos seams: replay the merged batch record-by-record on the
 // inline hooks and latch the pipeline inline for the remainder of the
-// run. Under parallel dispatch the shard replicas are first folded back
-// into the primary stack (they hold all access-derived state from prior
-// parallel drains) and the workers stopped, so the inline replay and
-// everything after it lands on fully caught-up primaries.
+// run.
 func (p *pipeline) degradeInline(out []analysis.AccessRecord) {
-	if p.par != nil {
-		p.par.merge()
-	}
 	p.inline = true
 	p.fallbacks++
 	p.chargeInline(uint64(len(out)))
@@ -436,27 +370,10 @@ func (p *pipeline) chargeInline(n uint64) {
 
 // Name implements analysis.Analysis.
 func (p *pipeline) Name() string {
-	if p.par != nil {
-		return "parallel(" + p.an.Name() + ")"
-	}
 	if p.phased {
 		return "phased(" + p.an.Name() + ")"
 	}
 	return "deferred(" + p.an.Name() + ")"
-}
-
-// bcast forwards a synchronization event to every shard replica after the
-// primary stack has seen it (a no-op outside parallel dispatch or once the
-// replicas have been merged away). Replicas need the full sync stream —
-// vector clocks, lock regions and live-thread counts are not page-sharded —
-// but their clocks must not double-charge sync work the primary already
-// charged to the main clock, so the per-shard clock marks are reset
-// afterwards, discarding the replicas' sync deltas from the next fold.
-func (p *pipeline) bcast(f func(analysis.Analysis)) {
-	if p.par == nil {
-		return
-	}
-	p.par.broadcast(f)
 }
 
 // OnAccess implements analysis.Analysis (full-instrumentation events).
@@ -524,49 +441,42 @@ func (p *pipeline) OnSplitAccess(tid guest.TID, pc isa.PC, addr uint64, size uin
 func (p *pipeline) OnAcquire(tid guest.TID, lock int64) {
 	p.drain()
 	p.an.OnAcquire(tid, lock)
-	p.bcast(func(a analysis.Analysis) { a.OnAcquire(tid, lock) })
 }
 
 // OnRelease implements analysis.Analysis.
 func (p *pipeline) OnRelease(tid guest.TID, lock int64) {
 	p.drain()
 	p.an.OnRelease(tid, lock)
-	p.bcast(func(a analysis.Analysis) { a.OnRelease(tid, lock) })
 }
 
 // OnFork implements analysis.Analysis.
 func (p *pipeline) OnFork(parent, child guest.TID) {
 	p.drain()
 	p.an.OnFork(parent, child)
-	p.bcast(func(a analysis.Analysis) { a.OnFork(parent, child) })
 }
 
 // OnJoin implements analysis.Analysis.
 func (p *pipeline) OnJoin(joiner, child guest.TID) {
 	p.drain()
 	p.an.OnJoin(joiner, child)
-	p.bcast(func(a analysis.Analysis) { a.OnJoin(joiner, child) })
 }
 
 // OnExit implements analysis.Analysis.
 func (p *pipeline) OnExit(tid guest.TID) {
 	p.drain()
 	p.an.OnExit(tid)
-	p.bcast(func(a analysis.Analysis) { a.OnExit(tid) })
 }
 
 // OnBarrierWait implements analysis.Analysis.
 func (p *pipeline) OnBarrierWait(tid guest.TID, id int64) {
 	p.drain()
 	p.an.OnBarrierWait(tid, id)
-	p.bcast(func(a analysis.Analysis) { a.OnBarrierWait(tid, id) })
 }
 
 // OnBarrierRelease implements analysis.Analysis.
 func (p *pipeline) OnBarrierRelease(tid guest.TID, id int64) {
 	p.drain()
 	p.an.OnBarrierRelease(tid, id)
-	p.bcast(func(a analysis.Analysis) { a.OnBarrierRelease(tid, id) })
 }
 
 // AddThread implements analysis.Analysis. The drain keeps the analyses'
@@ -575,7 +485,6 @@ func (p *pipeline) OnBarrierRelease(tid guest.TID, id int64) {
 func (p *pipeline) AddThread(delta int) {
 	p.drain()
 	p.an.AddThread(delta)
-	p.bcast(func(a analysis.Analysis) { a.AddThread(delta) })
 }
 
 // SetMaxFindings implements analysis.Analysis.
@@ -583,27 +492,8 @@ func (p *pipeline) SetMaxFindings(n int) { p.an.SetMaxFindings(n) }
 
 // Report implements analysis.Analysis: the end-of-run drain point.
 func (p *pipeline) Report() analysis.Findings {
-	p.finalize()
-	return p.an.Report()
-}
-
-// finalize flushes the pipeline at end of run: the final drain plus,
-// under parallel dispatch, folding the shard replicas back into the
-// primary stack and stopping the workers. Idempotent.
-func (p *pipeline) finalize() {
 	p.drain()
-	if p.par != nil {
-		p.par.merge()
-	}
-}
-
-// stopParallel shuts the parallel worker goroutines down (idempotent, a
-// no-op outside parallel dispatch) without merging — the leak guard for
-// runs that end in an engine error or a contained panic.
-func (p *pipeline) stopParallel() {
-	if p.par != nil {
-		p.par.stop()
-	}
+	return p.an.Report()
 }
 
 // VMAAdded implements guest.VMAListener: analyses that track the address
@@ -650,7 +540,7 @@ func (s *System) wrapDispatch(an analysis.Analysis) analysis.Analysis {
 	}
 	n := len(s.Analyses)
 	if s.Cfg.Dispatch == DispatchDeferred || s.Cfg.Dispatch == DispatchVectorized ||
-		s.Cfg.Dispatch == DispatchParallel || s.Cfg.Dispatch == DispatchPhased {
+		s.Cfg.Dispatch == DispatchPhased {
 		deferrable := true
 		for _, a := range s.Analyses {
 			if _, ok := asRetireObserver(a); ok {
@@ -660,12 +550,6 @@ func (s *System) wrapDispatch(an analysis.Analysis) analysis.Analysis {
 		}
 		if deferrable {
 			mode := s.Cfg.Dispatch
-			if mode == DispatchParallel && !shardable(s.Analyses) {
-				// Parallel dispatch needs every member to supply both a
-				// shard factory and a grouped kernel; otherwise degrade
-				// one rung down the ladder to vectorized dispatch.
-				mode = DispatchVectorized
-			}
 			s.pipe = newPipeline(an, n, s.Clock, s.Cfg.Costs)
 			s.pipe.inj = s.inj
 			if mode == DispatchVectorized || mode == DispatchPhased {
@@ -684,16 +568,6 @@ func (s *System) wrapDispatch(an analysis.Analysis) analysis.Analysis {
 			if mode == DispatchPhased {
 				s.pipe.phased = true
 			}
-			if mode == DispatchParallel {
-				workers := s.Cfg.AnalysisWorkers
-				if workers < 1 {
-					workers = 1
-				}
-				// Replicas are created NOW — before wireHooks delivers the
-				// first AddThread — so the broadcast stream they observe
-				// covers every sync event of the run.
-				s.pipe.par = newParallelPool(s.pipe, an.(analysis.Sharder), workers)
-			}
 			// Front registration: the drain must fire before Umbra or an
 			// analysis observes the VMA change (listeners are notified in
 			// registration order, and Umbra registered at attach time),
@@ -710,19 +584,4 @@ func (s *System) wrapDispatch(an analysis.Analysis) analysis.Analysis {
 			cost: s.Cfg.Costs.AnalysisDispatch * uint64(n)}
 	}
 	return an
-}
-
-// shardable reports whether every selected analysis supports page-sharded
-// parallel dispatch: a shard factory (analysis.Sharder) plus a vectorized
-// grouped kernel (the workers' only delivery path).
-func shardable(as []analysis.Analysis) bool {
-	for _, a := range as {
-		if _, ok := a.(analysis.Sharder); !ok {
-			return false
-		}
-		if _, ok := a.(analysis.GroupedBatchAnalysis); !ok {
-			return false
-		}
-	}
-	return true
 }

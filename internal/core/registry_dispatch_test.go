@@ -8,6 +8,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/memcheck"
 	"repro/internal/parsec"
+	"repro/internal/sharing"
 	"repro/internal/workload"
 )
 
@@ -27,8 +28,14 @@ import (
 // exactly one translate miss instead of a hit: the cycle delta must be a
 // non-negative multiple of ShadowTranslateMiss − ShadowTranslate, matched
 // by as many extra Umbra global lookups.
+//
+// Phased dispatch is checked against inline in the Aikido mode, both under
+// the default epoch and phase policies. There a model's pages may split,
+// so only the page split/join counts may differ besides the pipeline's
+// own counters, and at least one cell must bank a record.
 func TestRegistryDispatchIdentical(t *testing.T) {
 	names := append(analysis.Names(), "sampled:lockset")
+	var banked uint64
 	for _, bench := range parsec.All() {
 		bench := bench.WithScale(0.25)
 		prog, err := workload.Build(bench.Spec)
@@ -56,6 +63,21 @@ func TestRegistryDispatchIdentical(t *testing.T) {
 				}
 			}
 		}
+		phCfg := DefaultConfig(ModeAikidoFastTrack)
+		phCfg.Epoch = sharing.DefaultEpochPolicy()
+		phCfg.Phase = sharing.DefaultPhasePolicy()
+		for _, name := range names {
+			cfg := phCfg.WithAnalyses(name)
+			inline := *runDispatch(t, prog, cfg, DispatchInline)
+			phased := *runDispatch(t, prog, cfg, DispatchPhased)
+			banked += phased.PhaseBanked
+			inline.SD.PagesSplit, inline.SD.PagesJoined = 0, 0
+			phased.SD.PagesSplit, phased.SD.PagesJoined = 0, 0
+			requireSameResult(t, bench.Name+"/phased/"+name, &inline, &phased)
+		}
+	}
+	if banked == 0 {
+		t.Error("no phased cell banked a record — the phased comparison is vacuous")
 	}
 }
 

@@ -36,7 +36,7 @@ func requireSameFindings(t *testing.T, label string, dyn, st *Result) {
 
 // staticDispatchModes is the equivalence matrix's dispatch axis.
 var staticDispatchModes = []DispatchMode{
-	DispatchInline, DispatchDeferred, DispatchVectorized, DispatchParallel, DispatchPhased,
+	DispatchInline, DispatchDeferred, DispatchVectorized, DispatchPhased,
 }
 
 // TestStaticFindingsIdenticalOnParsec is the tentpole soundness contract:
@@ -58,9 +58,6 @@ func TestStaticFindingsIdenticalOnParsec(t *testing.T) {
 		}
 		for _, d := range modes {
 			cfg := DefaultConfig(ModeAikidoFastTrack)
-			if d == DispatchParallel {
-				cfg.AnalysisWorkers = 3
-			}
 			dyn := runDispatch(t, prog, cfg, d)
 			cfg.Static = true
 			st := runDispatch(t, prog, cfg, d)
@@ -91,9 +88,6 @@ func TestStaticVerifyCleanOnMatrix(t *testing.T) {
 	for _, d := range staticDispatchModes {
 		cfg := DefaultConfig(ModeAikidoFastTrack)
 		cfg.StaticVerify = true
-		if d == DispatchParallel {
-			cfg.AnalysisWorkers = 3
-		}
 		res := runDispatch(t, prog, cfg, d)
 		if res.StaticFallback != "" {
 			t.Fatalf("%v: unexpected fallback %q", d, res.StaticFallback)

@@ -76,14 +76,12 @@ type ChaosReport struct {
 // epoch-enabled Aikido cells under deferred dispatch, which are the only
 // cells that cross the provider seam (RearmPage fires during demotion)
 // and guarantee drain-seam coverage regardless of o.Dispatch, plus the
-// Zipf suite as parallel-dispatch cells at 4 analysis workers, which
-// guarantee worker-seam coverage (a worker fault latches the rest of the
-// run inline) regardless of o.Dispatch, plus the permanently-hot phase
-// suite rows (falseshare, zipf-hot) as phased-dispatch cells, which
-// guarantee reconcile-seam coverage: their pages split within a few
-// epochs, so every subsequent drain is a reconciliation merge (an
-// error-kind fault there replays the merged batch inline and latches
-// the pipeline — banked records are never lost or duplicated).
+// permanently-hot phase suite rows (falseshare, zipf-hot) as
+// phased-dispatch cells, which guarantee reconcile-seam coverage: their
+// pages split within a few epochs, so every subsequent drain is a
+// reconciliation merge (an error-kind fault there replays the merged
+// batch inline and latches the pipeline — banked records are never lost
+// or duplicated).
 func (o Options) chaosSpecs(plan *faultinject.Plan, stamp bool) []runner.Spec {
 	var specs []runner.Spec
 	for _, b := range parsec.All() {
@@ -105,17 +103,6 @@ func (o Options) chaosSpecs(plan *faultinject.Plan, stamp bool) []runner.Spec {
 	}
 	for _, c := range epochSuite(o) {
 		specs = append(specs, runner.Spec{Label: c.name + "/epoch", Source: c.src, Config: epochCfg})
-	}
-	parCfg := o.analysisCell(core.ModeAikidoFastTrack)
-	parCfg.Analyses = o.Analyses
-	parCfg.Dispatch = core.DispatchParallel
-	parCfg.AnalysisWorkers = 4
-	if stamp {
-		parCfg.Chaos = plan
-		parCfg.MaxCycles = ChaosMaxCycles
-	}
-	for _, c := range zipfSuite(o) {
-		specs = append(specs, runner.Spec{Label: c.name + "/parallel", Source: c.src, Config: parCfg})
 	}
 	phCfg := o.analysisCell(core.ModeAikidoFastTrack)
 	phCfg.Analyses = o.Analyses

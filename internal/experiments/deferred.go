@@ -6,8 +6,10 @@ import (
 	"io"
 
 	"repro/internal/core"
+	"repro/internal/parsec"
 	"repro/internal/runner"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // DeferredRow is one workload's dispatch-amortization measurement: the
@@ -46,6 +48,62 @@ type DeferredRow struct {
 // snapshots measure the same stack from different angles (mux: guest
 // executions amortized; deferred: dispatch transitions amortized).
 var deferredAnalysisSet = []string{"fasttrack", "lockset", "atomicity", "commgraph"}
+
+// zipfSuite is the Zipf-skewed sharing matrix the dispatch amortization
+// experiments append to the PARSEC models: the same false-sharing slot
+// layout at two points on the skew dial. The uniform row (skew 0) spreads
+// accesses evenly over the pages; the hot row (skew 1.2) concentrates
+// roughly half of all accesses onto one page — a long-run stress for the
+// vectorized kernels' group cutting.
+func zipfSuite(o Options) []epochCase {
+	iters := func(n int) int {
+		v := int(float64(n) * o.Scale)
+		if v < 1 {
+			v = 1
+		}
+		return v
+	}
+	z := func(name string, skew float64) workload.ZipfSpec {
+		return workload.ZipfSpec{
+			Name: name, Threads: 8, Iters: iters(300), Pages: 16,
+			OpsPerIter: 8, AluOps: 4, Skew: skew,
+		}
+	}
+	return []epochCase{
+		{"zipf-uniform", z("zipf-uniform", 0)},
+		{"zipf-hot", z("zipf-hot", 1.2)},
+	}
+}
+
+// amortUnit is one row of a dispatch-amortization matrix: a named
+// workload that can mint runner cells for any config — either a PARSEC
+// benchmark model or a generated workload source.
+type amortUnit struct {
+	name string
+	spec func(label string, cfg core.Config) runner.Spec
+}
+
+// amortUnits is the workload set the deferred, vector and phase
+// amortization experiments share: every PARSEC model plus the Zipf-skew
+// pair, so each snapshot carries both the paper's models and the
+// page-locality extremes the dispatch machinery is sensitive to.
+func (o Options) amortUnits() []amortUnit {
+	var units []amortUnit
+	for _, b := range parsec.All() {
+		bb := o.apply(b)
+		units = append(units, amortUnit{name: b.Name,
+			spec: func(label string, cfg core.Config) runner.Spec {
+				return cell(bb, label, cfg)
+			}})
+	}
+	for _, z := range zipfSuite(o) {
+		units = append(units, amortUnit{name: z.name,
+			spec: func(label string, cfg core.Config) runner.Spec {
+				return runner.Spec{Label: z.name + "/" + label, Source: z.src, Config: cfg}
+			}})
+	}
+	return units
+}
 
 // DeferredAmortization measures, per benchmark model, what batched
 // dispatch saves on analysis-heavy cells. Inline dispatch pays the

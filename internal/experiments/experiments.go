@@ -57,17 +57,12 @@ type Options struct {
 	// Dispatch selects the analysis dispatch mode for every
 	// analysis-bearing cell: inline (the default), deferred per-thread
 	// rings with batched drains, vectorized page-grouped kernels, or
-	// parallel page-sharded fan-out. Under the default cost model all four
-	// are byte-identical — CI's equivalence legs diff each non-inline
-	// report against the inline baseline to pin exactly that. The
-	// deferred/vector/parallel experiments measure their respective wins
+	// phased hot-page banking. Under the default cost model all four are
+	// byte-identical — CI's equivalence legs diff each non-inline report
+	// against the inline baseline to pin exactly that. The
+	// deferred/vector/phase experiments measure their respective wins
 	// under the transition-cost model regardless of this flag.
 	Dispatch core.DispatchMode
-	// AnalysisWorkers is the parallel-dispatch worker count for every
-	// analysis-bearing cell (ignored by the other dispatch modes; <1
-	// means 1). Reports are byte-identical at any value — CI diffs
-	// -analysis-workers 1, 4 and 8 against the inline baseline.
-	AnalysisWorkers int
 }
 
 // DefaultOptions is the full-size harness configuration.
@@ -132,7 +127,6 @@ func (o Options) modeCells(b parsec.Benchmark) []runner.Spec {
 		if m.mode != core.ModeNative {
 			cfg.Analyses = o.Analyses
 			cfg.Dispatch = o.Dispatch
-			cfg.AnalysisWorkers = o.AnalysisWorkers
 		}
 		if o.Epoch && m.mode == core.ModeAikidoFastTrack {
 			cfg.Epoch = o.epochPolicy()
@@ -147,7 +141,6 @@ func (o Options) modeCells(b parsec.Benchmark) []runner.Spec {
 func (o Options) analysisCell(mode core.Mode) core.Config {
 	cfg := core.DefaultConfig(mode)
 	cfg.Dispatch = o.Dispatch
-	cfg.AnalysisWorkers = o.AnalysisWorkers
 	return cfg
 }
 

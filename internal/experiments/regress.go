@@ -25,9 +25,6 @@ import (
 //   - aikido-vector-bench/v1: geomean_cycle_speedup_x — scalar deferred
 //     record replay vs vectorized batch kernels under the same model
 //     (BENCH_7.json);
-//   - aikido-parallel-bench/v1: geomean_cycle_speedup_x — single-threaded
-//     vectorized dispatch vs page-sharded parallel fan-out under the same
-//     model (BENCH_8.json);
 //   - aikido-phase-bench/v1: geomean_cycle_speedup_x — inline dispatch vs
 //     Doppel-style split-phase hot-page banking under the same model
 //     (BENCH_9.json);
@@ -83,8 +80,7 @@ func ReadSnapshot(path string) (Snapshot, error) {
 		}
 		s.Speedup = f.GeomeanFastTrack / f.GeomeanAikido
 	case "aikido-mux-bench/v1", "aikido-epoch-bench/v1", "aikido-deferred-bench/v1",
-		"aikido-vector-bench/v1", "aikido-parallel-bench/v1", "aikido-phase-bench/v1",
-		"aikido-static-bench/v1":
+		"aikido-vector-bench/v1", "aikido-phase-bench/v1", "aikido-static-bench/v1":
 		s.Speedup = f.GeomeanSpeedup
 	default:
 		return Snapshot{}, fmt.Errorf("regress: %s: unknown schema %q", path, f.Schema)

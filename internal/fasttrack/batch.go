@@ -71,16 +71,6 @@ func (d *Detector) OnAccessGroups(recs []analysis.AccessRecord, groups []analysi
 		}
 		for i := g.Start; i < g.End; {
 			r := &recs[i]
-			d.curSeq = r.Seq
-			if r.Cont {
-				// Continuation half of a page-straddling access split by
-				// the parallel coordinator: per-block rules only — the
-				// head (in its own shard) owns the per-access contention
-				// charge.
-				d.contFallback(r)
-				i++
-				continue
-			}
 			first := BlockAddr(r.Addr)
 			if BlockAddr(r.Addr+uint64(r.Size)-1) != first {
 				// Block-straddling access: per-block rules; scalar hook.
@@ -93,7 +83,7 @@ func (d *Detector) OnAccessGroups(recs []analysis.AccessRecord, groups []analysi
 			j := i + 1
 			for j < g.End {
 				n := &recs[j]
-				if n.Cont || n.TID != r.TID || n.Write != r.Write ||
+				if n.TID != r.TID || n.Write != r.Write ||
 					BlockAddr(n.Addr) != first ||
 					BlockAddr(n.Addr+uint64(n.Size)-1) != first {
 					break
@@ -200,29 +190,6 @@ func (d *Detector) scalarFallback(r *analysis.AccessRecord) {
 		d.clock.Charge(c)
 	}
 	d.OnAccess(r.TID, r.PC, r.Addr, r.Size, r.Write)
-}
-
-// contFallback retires the continuation half of a split page-straddling
-// access: the per-block write/read rules run (and charge per block)
-// exactly as the scalar per-block loop would for these blocks, but the
-// per-access contention charge is skipped — the head half, dispatched to
-// the shard owning the first page, already paid it. The head and
-// continuation charges therefore sum to exactly one scalar OnAccess.
-func (d *Detector) contFallback(r *analysis.AccessRecord) {
-	d.vecFallbacks++
-	if c := d.costs.BatchPerRecord; c != 0 {
-		d.clock.Charge(c)
-	}
-	t := vclock.TID(r.TID)
-	first := BlockAddr(r.Addr)
-	last := BlockAddr(r.Addr + uint64(r.Size) - 1)
-	for b := first; b <= last; b += 1 << BlockShift {
-		if r.Write {
-			d.write(t, r.PC, b)
-		} else {
-			d.read(t, r.PC, b)
-		}
-	}
 }
 
 // OnPhaseReconcile implements analysis.PhaseReconciler: the split-phase

@@ -163,14 +163,6 @@ type Detector struct {
 	vecCoalesced uint64
 	vecFallbacks uint64
 
-	// shard marks a parallel-dispatch replica: races are stored uncapped
-	// and tagged with curSeq (the sequence number of the record the batch
-	// kernel is currently retiring), so MergeShards can interleave the
-	// shards' races back into global report order.
-	shard    bool
-	curSeq   uint64
-	raceSeqs []uint64
-
 	C Counters
 }
 
@@ -272,9 +264,6 @@ func (d *Detector) report(r Race) {
 		return
 	}
 	d.races = append(d.races, r)
-	if d.shard {
-		d.raceSeqs = append(d.raceSeqs, d.curSeq)
-	}
 }
 
 // Races returns the recorded races sorted by block address then kind.

@@ -27,10 +27,6 @@
 //	drain    — the deferred dispatch pipeline's ring drain. Errors
 //	           degrade the pipeline to inline delivery for the rest of
 //	           the run; panics unwind to containment.
-//	worker   — the parallel dispatch pipeline's per-drain fan-out.
-//	           Errors (and recovered panics) degrade the run to inline
-//	           delivery: shard state merges back and the batch replays
-//	           in seq order; panics unwind to containment.
 //	analysis — every analysis-bound access event (the outermost dispatch
 //	           wrapper).
 //	reconcile — the phased dispatch pipeline's split-phase reconciliation
@@ -66,9 +62,6 @@ const (
 	SeamGuest
 	// SeamDrain fires once per deferred-dispatch ring drain.
 	SeamDrain
-	// SeamWorker fires once per parallel-dispatch drain, before the
-	// merged batch fans out to the analysis workers.
-	SeamWorker
 	// SeamAnalysis fires once per analysis-bound access event.
 	SeamAnalysis
 	// SeamReconcile fires once per phased-dispatch reconciliation merge —
@@ -92,8 +85,6 @@ func (s Seam) String() string {
 		return "guest"
 	case SeamDrain:
 		return "drain"
-	case SeamWorker:
-		return "worker"
 	case SeamAnalysis:
 		return "analysis"
 	case SeamReconcile:
@@ -113,8 +104,6 @@ func ParseSeam(s string) (Seam, error) {
 		return SeamGuest, nil
 	case "drain":
 		return SeamDrain, nil
-	case "worker":
-		return SeamWorker, nil
 	case "analysis":
 		return SeamAnalysis, nil
 	case "reconcile":
@@ -122,7 +111,7 @@ func ParseSeam(s string) (Seam, error) {
 	case "static":
 		return SeamStatic, nil
 	}
-	return 0, fmt.Errorf("faultinject: unknown seam %q (want provider, guest, drain, worker, analysis, reconcile or static)", s)
+	return 0, fmt.Errorf("faultinject: unknown seam %q (want provider, guest, drain, analysis, reconcile or static)", s)
 }
 
 // Kind is the manifestation of an injected fault.
@@ -226,9 +215,9 @@ func splitmix64(x uint64) uint64 {
 //
 //	[seed=N;]KIND:SEAM[@COUNT][;KIND:SEAM[@COUNT]...]
 //
-// KIND is panic, error or stall; SEAM is provider, guest, drain, worker,
-// analysis or reconcile; COUNT is the 1-based seam crossing to fire on. A rule with
-// no @COUNT gets a deterministic count derived from the seed and the
+// KIND is panic, error or stall; SEAM is provider, guest, drain,
+// analysis, reconcile or static; COUNT is the 1-based seam crossing to
+// fire on. A rule with no @COUNT gets a deterministic count derived from the seed and the
 // rule's position via splitmix64, so "seed=7;panic:analysis" names one
 // exact fault without spelling the crossing. The empty string is the
 // empty plan (nil, nil): no injection, byte-identical behaviour.

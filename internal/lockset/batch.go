@@ -65,15 +65,6 @@ func (d *Detector) OnAccessGroups(recs []analysis.AccessRecord, groups []analysi
 	for _, g := range groups {
 		for i := g.Start; i < g.End; {
 			r := &recs[i]
-			d.curSeq = r.Seq
-			if r.Cont {
-				// Continuation half of a split page-straddling access:
-				// per-block state machine only — the head shard owns the
-				// per-access contention charge.
-				d.contFallback(r)
-				i++
-				continue
-			}
 			first := r.Addr &^ blockMask
 			if (r.Addr+uint64(r.Size)-1)&^blockMask != first {
 				// Block-straddling access: per-block state machine; scalar.
@@ -88,7 +79,7 @@ func (d *Detector) OnAccessGroups(recs []analysis.AccessRecord, groups []analysi
 			j := i + 1
 			for j < g.End {
 				n := &recs[j]
-				if n.Cont || n.TID != r.TID || n.Write != r.Write ||
+				if n.TID != r.TID || n.Write != r.Write ||
 					n.Addr&^blockMask != first ||
 					(n.Addr+uint64(n.Size)-1)&^blockMask != first {
 					break
@@ -144,24 +135,6 @@ func (d *Detector) OnAccessGroups(recs []analysis.AccessRecord, groups []analysi
 			}
 			i = j
 		}
-	}
-}
-
-// contFallback retires the continuation half of a split page-straddling
-// access: the per-block Eraser state machine runs (and charges per block)
-// exactly as the scalar per-block loop would, but the per-access
-// contention charge is skipped — the head half, dispatched to the shard
-// owning the first page, already paid it.
-func (d *Detector) contFallback(r *analysis.AccessRecord) {
-	d.vec.fallbacks++
-	if c := d.costs.BatchPerRecord; c != 0 {
-		d.clock.Charge(c)
-	}
-	blockMask := uint64(1)<<BlockShift - 1
-	first := r.Addr &^ blockMask
-	last := (r.Addr + uint64(r.Size) - 1) &^ blockMask
-	for b := first; b <= last; b += 1 << BlockShift {
-		d.access(r.TID, r.PC, b, r.Write)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/guest"
 	"repro/internal/stats"
 )
@@ -141,8 +140,7 @@ const (
 )
 
 // genOps draws a random event sequence over a few threads, locks and
-// variables. Accesses may straddle 8-byte blocks but never pages (the
-// sharded replay routes each access to one page's shard).
+// variables. Accesses may straddle 8-byte blocks but never pages.
 func genOps(rng *rand.Rand, n int) []syncOp {
 	locks := []int64{1, 2, 3, 40, -5}
 	sizes := []uint8{1, 2, 4, 8}
@@ -232,9 +230,7 @@ func checkAgainstRef(t *testing.T, seed int64, d *Detector, ref *refDetector) {
 // TestHashConsedMatchesReference is the lockset equivalence property: on
 // random acquire/release/access sequences the hash-consed detector with
 // cached transitions reports exactly the naive reference's warnings,
-// counters and cycles, and equal sets always share one handle — both in
-// a single detector and after MergeShards re-interns sharded replicas'
-// candidate sets into the primary's table.
+// counters and cycles, and equal sets always share one handle.
 func TestHashConsedMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		ops := genOps(rand.New(rand.NewSource(seed)), 200)
@@ -244,33 +240,17 @@ func TestHashConsedMatchesReference(t *testing.T) {
 		d := New(clock, stats.DefaultCosts())
 		d.AddThread(genThreads)
 
-		// Sharded replay: syncs broadcast, accesses routed by page.
-		primary := det()
-		shards := make([]analysis.Analysis, 2)
-		for i := range shards {
-			shards[i] = primary.NewShard(&stats.Clock{})
-		}
-
 		for _, op := range ops {
 			switch op.kind {
 			case 0:
 				ref.acquire(op.tid, op.lock)
 				d.OnAcquire(op.tid, op.lock)
-				primary.OnAcquire(op.tid, op.lock)
-				for _, s := range shards {
-					s.OnAcquire(op.tid, op.lock)
-				}
 			case 1:
 				ref.release(op.tid, op.lock)
 				d.OnRelease(op.tid, op.lock)
-				primary.OnRelease(op.tid, op.lock)
-				for _, s := range shards {
-					s.OnRelease(op.tid, op.lock)
-				}
 			case 2:
 				ref.access(op.tid, op.addr, op.size, op.write)
 				d.OnAccess(op.tid, 1, op.addr, op.size, op.write)
-				shards[(op.addr>>12)%uint64(len(shards))].OnAccess(op.tid, 1, op.addr, op.size, op.write)
 			}
 		}
 
@@ -279,9 +259,5 @@ func TestHashConsedMatchesReference(t *testing.T) {
 			t.Fatalf("seed %d: cycles %d, want %d", seed, clock.Cycles(), ref.cycles)
 		}
 		checkIdentity(t, seed, d)
-
-		primary.MergeShards(shards)
-		checkAgainstRef(t, seed, primary, ref)
-		checkIdentity(t, seed, primary)
 	}
 }

@@ -121,14 +121,6 @@ type Detector struct {
 	// of Counters so findings stay byte-identical across dispatch modes.
 	vec vecStats
 
-	// shard marks a parallel-dispatch replica: warnings are stored
-	// uncapped and tagged with curSeq (the sequence number of the record
-	// the batch kernel is currently retiring), so MergeShards can
-	// interleave the shards' warnings back into global report order.
-	shard    bool
-	curSeq   uint64
-	warnSeqs []uint64
-
 	C Counters
 }
 
@@ -255,9 +247,6 @@ func (d *Detector) report(vs *varState, w Warning) {
 	vs.warned = true
 	if len(d.warnings) < d.MaxWarnings {
 		d.warnings = append(d.warnings, w)
-		if d.shard {
-			d.warnSeqs = append(d.warnSeqs, d.curSeq)
-		}
 	}
 }
 

@@ -38,8 +38,7 @@ type lockSet struct {
 }
 
 // setTable interns locksets and memoizes the operations on them. It
-// belongs to one detector; shard replicas have their own, and
-// MergeShards re-interns their sets into the primary's.
+// belongs to one detector.
 type setTable struct {
 	sets  map[string]*lockSet // canonical encoding of ids → set
 	byIdx []*lockSet          // dense index → set; byIdx[0] is empty

@@ -156,20 +156,6 @@ type CostModel struct {
 	// amortization BENCH_7 measures. Scalar-fallback records always pay
 	// full scalar freight (plus BatchPerRecord hand-off when nonzero).
 	BatchCoalescedRecord uint64
-	// ParallelDrainBase and ParallelShardJoin model a page-sharded
-	// parallel drain's coordination overhead, and together form the
-	// parallel-charging switch. When both are 0 (DefaultCosts), a
-	// parallel drain folds the *sum* of the per-shard cycle deltas into
-	// the main clock — order-independent arithmetic, so cycles stay
-	// byte-identical to vectorized and inline dispatch at any worker
-	// count. When either is nonzero (DispatchCosts), a drain instead
-	// charges ParallelDrainBase (fan-out/join fixed cost) plus
-	// ParallelShardJoin per shard that received groups (reconciling one
-	// shard's findings and counters; an idle shard leaves nothing to
-	// reconcile) plus the *maximum* per-shard delta — the critical-path
-	// model of genuinely concurrent shards that BENCH_8 measures.
-	ParallelDrainBase uint64
-	ParallelShardJoin uint64
 	// PhaseReconcileBase and PhaseBankRecord model Doppel-style split
 	// phases for hot pages, and together form the phase-charging switch.
 	// During a split phase, an access to a hot page is *banked* as a
@@ -254,12 +240,6 @@ func DispatchCosts() CostModel {
 	// uniform metadata.
 	c.BatchGroupBase = 24
 	c.BatchCoalescedRecord = 4
-	// Parallel-drain terms: dispatching group ranges to sleeping workers
-	// and joining them costs a couple of cache-line hand-offs, and folding
-	// one shard's counters back costs a short loop over its findings. Kept
-	// small so shard-imbalanced (Zipf-skewed) workloads still amortize.
-	c.ParallelDrainBase = 60
-	c.ParallelShardJoin = 12
 	// Phase terms: banking one record into a thread-private delta ring is
 	// one struct store into a warm cache line (no clean call, no shared
 	// state), and entering the reconciliation merge at a phase boundary

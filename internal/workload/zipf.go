@@ -18,10 +18,9 @@ import (
 // at 1.2, roughly half of all accesses land on the hottest page.
 //
 // The skew exists to stress page-keyed machinery: vectorized dispatch's
-// group cutting (hot pages produce long runs), and above all parallel
-// dispatch's page → shard routing, where a hot page serializes its shard
-// and bounds the fan-out speedup — the load-imbalance row of the BENCH_8
-// amortization experiment.
+// group cutting (hot pages produce long runs) and phased dispatch's
+// hot-page classification, where a page written by many threads every
+// epoch splits.
 type ZipfSpec struct {
 	// Name labels the generated program.
 	Name string
