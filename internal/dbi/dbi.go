@@ -26,6 +26,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/pagetable"
 	"repro/internal/stats"
+	"repro/internal/vm"
 )
 
 // Memory is the engine's user-mode data access path — the hypervisor MMU in
@@ -239,23 +240,37 @@ func New(p *guest.Process, mem Memory, tool Tool, clock *stats.Clock, costs stat
 }
 
 // directMemory walks the guest page table with no hypervisor (native mode).
+// A page-straddling access goes through vm's split path, as
+// hypervisor.Access does.
 type directMemory struct{ p *guest.Process }
 
 func (d directMemory) Load(_ guest.TID, addr uint64, size uint8, _ bool) (uint64, *hypervisor.Fault) {
-	pte, fault := d.p.PT.Walk(addr, pagetable.AccessRead, true)
+	f1, f2, first, fault := d.p.PT.WalkSpan(addr, size, pagetable.AccessRead, true)
 	if fault != nil {
-		return 0, &hypervisor.Fault{Addr: addr, Access: pagetable.AccessRead, Unmapped: fault.Unmapped}
+		return 0, mmuFault(fault)
 	}
-	return d.p.M.ReadU(pte.Frame, addr&(1<<12-1), size), nil
+	if first == size {
+		return d.p.M.ReadU(f1, vm.PageOff(addr), size), nil
+	}
+	return d.p.M.ReadSplit(f1, vm.PageOff(addr), f2, first, size), nil
 }
 
 func (d directMemory) Store(_ guest.TID, addr uint64, size uint8, val uint64, _ bool) *hypervisor.Fault {
-	pte, fault := d.p.PT.Walk(addr, pagetable.AccessWrite, true)
+	f1, f2, first, fault := d.p.PT.WalkSpan(addr, size, pagetable.AccessWrite, true)
 	if fault != nil {
-		return &hypervisor.Fault{Addr: addr, Access: pagetable.AccessWrite, Unmapped: fault.Unmapped}
+		return mmuFault(fault)
 	}
-	d.p.M.WriteU(pte.Frame, addr&(1<<12-1), size, val)
+	if first == size {
+		d.p.M.WriteU(f1, vm.PageOff(addr), size, val)
+	} else {
+		d.p.M.WriteSplit(f1, vm.PageOff(addr), f2, first, size, val)
+	}
 	return nil
+}
+
+// mmuFault reports a guest page-table fault the way the hypervisor MMU does.
+func mmuFault(f *pagetable.Fault) *hypervisor.Fault {
+	return &hypervisor.Fault{Addr: f.Addr, Access: f.Access, Unmapped: f.Unmapped}
 }
 
 // Flush removes every cached block containing pc. The next execution

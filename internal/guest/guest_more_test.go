@@ -185,3 +185,33 @@ func TestWakePanicsOnBadState(t *testing.T) {
 	}()
 	p.wake(1) // main is Runnable, not Blocked
 }
+
+// TestDirectBusSplitsStraddlingAccess: the default kernel bus serves an
+// access that straddles a page boundary from both frames, and a fault on
+// the second page names that page and leaves the first untouched.
+func TestDirectBusSplitsStraddlingAccess(t *testing.T) {
+	p := newProc(t, tinyProgram(t))
+	b := directBus{p}
+	const v = 0x8877665544332211
+	two := p.Mmap(2*vm.PageSize, pagetable.ProtRW)
+	for first := uint64(1); first < 8; first++ {
+		addr := two + vm.PageSize - first
+		if fault := b.Store(1, addr, 8, v, false); fault != nil {
+			t.Fatalf("split %d: store faulted: %v", first, fault)
+		}
+		got, fault := b.Load(1, addr, 8, false)
+		if fault != nil || got != v {
+			t.Errorf("split %d: load = %#x, %v; want %#x", first, got, fault, uint64(v))
+		}
+	}
+	// The page after a one-page mapping is the unmapped guard gap.
+	one := p.Mmap(vm.PageSize, pagetable.ProtRW)
+	addr := one + vm.PageSize - 4
+	fault := b.Store(1, addr, 8, v, false)
+	if fault == nil || fault.Addr != one+vm.PageSize || !fault.Unmapped {
+		t.Fatalf("store into the guard page: fault %+v, want unmapped at %#x", fault, one+vm.PageSize)
+	}
+	if got, _ := b.Load(1, addr, 4, false); got != 0 {
+		t.Errorf("faulting store left %#x on the first page, want no partial store", got)
+	}
+}

@@ -159,23 +159,31 @@ type Bus interface {
 
 // directBus is the default Bus: it walks the guest page table (kernel mode)
 // and accesses machine memory directly. Used when no hypervisor is present
-// (native runs and unit tests).
+// (native runs and unit tests). A page-straddling access goes through
+// vm's split path.
 type directBus struct{ p *Process }
 
 func (b directBus) Load(_ TID, addr uint64, size uint8, _ bool) (uint64, *pagetable.Fault) {
-	pte, fault := b.p.PT.Walk(addr, pagetable.AccessRead, false)
+	f1, f2, first, fault := b.p.PT.WalkSpan(addr, size, pagetable.AccessRead, false)
 	if fault != nil {
 		return 0, fault
 	}
-	return b.p.M.ReadU(pte.Frame, vm.PageOff(addr), size), nil
+	if first == size {
+		return b.p.M.ReadU(f1, vm.PageOff(addr), size), nil
+	}
+	return b.p.M.ReadSplit(f1, vm.PageOff(addr), f2, first, size), nil
 }
 
 func (b directBus) Store(_ TID, addr uint64, size uint8, val uint64, _ bool) *pagetable.Fault {
-	pte, fault := b.p.PT.Walk(addr, pagetable.AccessWrite, false)
+	f1, f2, first, fault := b.p.PT.WalkSpan(addr, size, pagetable.AccessWrite, false)
 	if fault != nil {
 		return fault
 	}
-	b.p.M.WriteU(pte.Frame, vm.PageOff(addr), size, val)
+	if first == size {
+		b.p.M.WriteU(f1, vm.PageOff(addr), size, val)
+	} else {
+		b.p.M.WriteSplit(f1, vm.PageOff(addr), f2, first, size, val)
+	}
 	return nil
 }
 

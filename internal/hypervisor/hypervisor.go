@@ -467,42 +467,34 @@ func (h *Hypervisor) deliverAikidoFault(addr uint64, a pagetable.Access) *Fault 
 	return f
 }
 
-// Access performs a user-mode sized load/store through Translate, splitting
-// accesses that cross a page boundary. On fault, no partial side effects
-// are applied for stores beyond completed pages (like a real CPU, the
-// faulting portion re-executes after the fault is handled).
+// Access performs a user-mode sized load/store through Translate. An
+// access that straddles a page boundary is split by vm.OnPage and served
+// by vm.Machine.ReadSplit/WriteSplit, the one split path every memory bus
+// shares. Both pages are translated before any side effect, so a fault on
+// either leaves no partial store (like a real CPU, the faulting access
+// re-executes after the fault is handled).
 func (h *Hypervisor) Access(tid guest.TID, addr uint64, size uint8, a pagetable.Access, val uint64, user bool) (uint64, *Fault) {
-	first := vm.PageSize - vm.PageOff(addr)
-	if uint64(size) <= first {
-		frame, off, fault := h.Translate(tid, addr, a, user)
-		if fault != nil {
-			return 0, fault
-		}
+	f1, off, fault := h.Translate(tid, addr, a, user)
+	if fault != nil {
+		return 0, fault
+	}
+	first := vm.OnPage(addr, size)
+	if first == size {
 		if a == pagetable.AccessWrite {
-			h.m.WriteU(frame, off, size, val)
+			h.m.WriteU(f1, off, size, val)
 			return 0, nil
 		}
-		return h.m.ReadU(frame, off, size), nil
+		return h.m.ReadU(f1, off, size), nil
 	}
-	// Split access: translate both pages before any side effect.
-	f1, o1, fault := h.Translate(tid, addr, a, user)
+	f2, _, fault := h.Translate(tid, addr+uint64(first), a, user)
 	if fault != nil {
 		return 0, fault
 	}
-	f2, o2, fault := h.Translate(tid, addr+first, a, user)
-	if fault != nil {
-		return 0, fault
-	}
-	n1 := uint8(first)
-	n2 := size - n1
 	if a == pagetable.AccessWrite {
-		h.m.WriteU(f1, o1, n1, val)
-		h.m.WriteU(f2, o2, n2, val>>(8*n1))
+		h.m.WriteSplit(f1, off, f2, first, size, val)
 		return 0, nil
 	}
-	lo := h.m.ReadU(f1, o1, n1)
-	hi := h.m.ReadU(f2, o2, n2)
-	return lo | hi<<(8*n1), nil
+	return h.m.ReadSplit(f1, off, f2, first, size), nil
 }
 
 // Load is a user/kernel load via the MMU.

@@ -265,6 +265,27 @@ func (t *Table) Walk(addr uint64, a Access, user bool) (PTE, *Fault) {
 	return pte, nil
 }
 
+// WalkSpan walks every page the size-byte access at addr touches, for the
+// buses that reach machine memory without a hypervisor. first is
+// vm.OnPage(addr, size); when it is below size the access straddles a page
+// boundary and f2 is the next page's frame, ready for vm.Machine's
+// ReadSplit/WriteSplit. Both pages are walked before the caller touches
+// memory, and a fault names the page that failed.
+func (t *Table) WalkSpan(addr uint64, size uint8, a Access, user bool) (f1, f2 vm.FrameID, first uint8, fault *Fault) {
+	pte, fault := t.Walk(addr, a, user)
+	if fault != nil {
+		return vm.NoFrame, vm.NoFrame, 0, fault
+	}
+	if first = vm.OnPage(addr, size); first < size {
+		next, fault := t.Walk(addr+uint64(first), a, user)
+		if fault != nil {
+			return vm.NoFrame, vm.NoFrame, 0, fault
+		}
+		f2 = next.Frame
+	}
+	return pte.Frame, f2, first, nil
+}
+
 // Fault describes a page fault raised during translation.
 type Fault struct {
 	// Addr is the faulting guest virtual address.

@@ -158,6 +158,32 @@ func TestWalkFaultCarriesAddrAndAccess(t *testing.T) {
 	}
 }
 
+// TestWalkSpan: an access inside one page walks one page; a straddling one
+// yields both frames; a fault on either page names the page that failed.
+func TestWalkSpan(t *testing.T) {
+	pt := New()
+	pt.Map(4, 10, ProtRW)
+	pt.Map(5, 11, ProtRO)
+	base := uint64(4 * vm.PageSize)
+
+	f1, _, first, fault := pt.WalkSpan(base+8, 8, AccessWrite, true)
+	if fault != nil || f1 != 10 || first != 8 {
+		t.Errorf("in-page walk = frame %d first %d fault %v", f1, first, fault)
+	}
+	f1, f2, first, fault := pt.WalkSpan(base+vm.PageSize-3, 8, AccessRead, true)
+	if fault != nil || f1 != 10 || f2 != 11 || first != 3 {
+		t.Errorf("straddling read = frames %d,%d first %d fault %v", f1, f2, first, fault)
+	}
+	_, _, _, fault = pt.WalkSpan(base+vm.PageSize-3, 8, AccessWrite, true)
+	if fault == nil || fault.Addr != base+vm.PageSize || fault.Prot != ProtRO {
+		t.Errorf("straddling write into a read-only page: fault %+v", fault)
+	}
+	_, _, _, fault = pt.WalkSpan(base+2*vm.PageSize-2, 4, AccessRead, true)
+	if fault == nil || fault.Addr != base+2*vm.PageSize || !fault.Unmapped {
+		t.Errorf("straddling read into an unmapped page: fault %+v", fault)
+	}
+}
+
 func TestProtStringAndAllowsAgree(t *testing.T) {
 	// Property: a protection allows a user read iff both R and U bits set;
 	// a user write additionally needs W.

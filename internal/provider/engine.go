@@ -163,38 +163,30 @@ func (e *protEngine) translate(tid guest.TID, addr uint64, a pagetable.Access, u
 	return gpte.Frame, vm.PageOff(addr), nil
 }
 
-// access performs a sized load/store through translate, splitting accesses
-// that cross a page boundary (no partial side effects on faults).
+// access performs a sized load/store through translate, with the same
+// split contract as hypervisor.Access: a page-straddling access translates
+// both pages before any side effect and goes through vm's split path.
 func (e *protEngine) access(tid guest.TID, addr uint64, size uint8, a pagetable.Access, val uint64, user bool) (uint64, *hypervisor.Fault) {
 	m := e.p.M
-	first := vm.PageSize - vm.PageOff(addr)
-	if uint64(size) <= first {
-		frame, off, fault := e.translate(tid, addr, a, user)
-		if fault != nil {
-			return 0, fault
-		}
+	f1, off, fault := e.translate(tid, addr, a, user)
+	if fault != nil {
+		return 0, fault
+	}
+	first := vm.OnPage(addr, size)
+	if first == size {
 		if a == pagetable.AccessWrite {
-			m.WriteU(frame, off, size, val)
+			m.WriteU(f1, off, size, val)
 			return 0, nil
 		}
-		return m.ReadU(frame, off, size), nil
+		return m.ReadU(f1, off, size), nil
 	}
-	f1, o1, fault := e.translate(tid, addr, a, user)
+	f2, _, fault := e.translate(tid, addr+uint64(first), a, user)
 	if fault != nil {
 		return 0, fault
 	}
-	f2, o2, fault := e.translate(tid, addr+first, a, user)
-	if fault != nil {
-		return 0, fault
-	}
-	n1 := uint8(first)
-	n2 := size - n1
 	if a == pagetable.AccessWrite {
-		m.WriteU(f1, o1, n1, val)
-		m.WriteU(f2, o2, n2, val>>(8*n1))
+		m.WriteSplit(f1, off, f2, first, size, val)
 		return 0, nil
 	}
-	lo := m.ReadU(f1, o1, n1)
-	hi := m.ReadU(f2, o2, n2)
-	return lo | hi<<(8*n1), nil
+	return m.ReadSplit(f1, off, f2, first, size), nil
 }

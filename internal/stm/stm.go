@@ -157,22 +157,50 @@ func (r *Runtime) setProt(vpn uint64, m *pageMeta) {
 }
 
 // rawRead reads guest memory through the page table, bypassing all
-// protection (runtime-internal, like a kernel debugger read).
+// protection (runtime-internal, like a kernel debugger read). A
+// page-straddling access goes through vm's split path; an unmapped page
+// reads as 0.
 func (r *Runtime) rawRead(addr uint64, size uint8) uint64 {
-	pte, ok := r.p.PT.Lookup(vm.PageNum(addr))
+	f1, f2, first, ok := r.rawFrames(addr, size)
 	if !ok {
 		return 0
 	}
-	return r.p.M.ReadU(pte.Frame, vm.PageOff(addr), size)
+	if first == size {
+		return r.p.M.ReadU(f1, vm.PageOff(addr), size)
+	}
+	return r.p.M.ReadSplit(f1, vm.PageOff(addr), f2, first, size)
 }
 
-// rawWrite is the write analogue of rawRead (undo-log rollback).
+// rawWrite is the write analogue of rawRead (undo-log rollback). A store
+// touching an unmapped page is dropped whole.
 func (r *Runtime) rawWrite(addr uint64, size uint8, val uint64) {
-	pte, ok := r.p.PT.Lookup(vm.PageNum(addr))
+	f1, f2, first, ok := r.rawFrames(addr, size)
 	if !ok {
 		return
 	}
-	r.p.M.WriteU(pte.Frame, vm.PageOff(addr), size, val)
+	if first == size {
+		r.p.M.WriteU(f1, vm.PageOff(addr), size, val)
+	} else {
+		r.p.M.WriteSplit(f1, vm.PageOff(addr), f2, first, size, val)
+	}
+}
+
+// rawFrames looks up the frames under the size bytes at addr. first is
+// vm.OnPage(addr, size); when it is below size, f2 is the next page's
+// frame. ok is false when either page is unmapped.
+func (r *Runtime) rawFrames(addr uint64, size uint8) (f1, f2 vm.FrameID, first uint8, ok bool) {
+	pte, ok := r.p.PT.Lookup(vm.PageNum(addr))
+	if !ok {
+		return vm.NoFrame, vm.NoFrame, 0, false
+	}
+	if first = vm.OnPage(addr, size); first < size {
+		next, ok := r.p.PT.Lookup(vm.PageNum(addr) + 1)
+		if !ok {
+			return vm.NoFrame, vm.NoFrame, 0, false
+		}
+		f2 = next.Frame
+	}
+	return pte.Frame, f2, first, true
 }
 
 // abort rolls back and releases a transaction (it stays formally active

@@ -277,3 +277,48 @@ func TestAbortRollsBackExactly(t *testing.T) {
 		t.Errorf("aborts = %d, want 1", res.C.Aborts)
 	}
 }
+
+// TestAbortRollsBackStraddlingWord: a transactional 8-byte store across a
+// page boundary is undone exactly on abort; the undo log reads and
+// restores both halves.
+func TestAbortRollsBackStraddlingWord(t *testing.T) {
+	b := isa.NewBuilder("rollback-split")
+	x := b.Global(2*vm.PageSize, vm.PageSize)
+	const off = vm.PageSize - 3
+	b.MovImm(rX, int64(x))
+	b.MovImm(rV, 0x0102030405060708)
+	b.Store(rX, off, rV) // pre-tx value
+	b.TxBegin()
+	b.MovImm(rV, 0x1112131415161718)
+	b.Store(rX, off, rV)
+	b.TxEnd()
+	b.Load(isa.R0, rX, off)
+	b.Syscall(isa.SysExit)
+	prog, err := b.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(prog, Config{Strong: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rtEnd := s.P.Hooks.TxEnd
+	aborted := false
+	s.P.Hooks.TxEnd = func(th *guest.Thread) int64 {
+		if !aborted {
+			aborted = true
+			s.Rt.abort(s.Rt.tx[th.ID])
+		}
+		return rtEnd(th)
+	}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ExitCode != 0x0102030405060708 {
+		t.Fatalf("post-abort value %#x, want 0x0102030405060708 (rolled back)", res.ExitCode)
+	}
+	if res.C.Aborts != 1 {
+		t.Errorf("aborts = %d, want 1", res.C.Aborts)
+	}
+}

@@ -2,13 +2,24 @@
 // flat array of page frames with raw, untranslated access.
 //
 // Everything above this package deals in *guest* addresses; only the
-// hypervisor's translation path (internal/hypervisor) and loaders hold
-// machine frame handles. Two guest-virtual pages aliasing one frame — the
-// mechanism behind Aikido's mirror pages — is expressed simply by two page
-// table entries naming the same FrameID.
+// memory buses named below and the loaders hold machine frame handles.
+// Two guest-virtual pages aliasing one frame — the mechanism behind
+// Aikido's mirror pages — is expressed simply by two page table entries
+// naming the same FrameID.
+//
+// Sized guest accesses are word-granular: ReadU/WriteU serve widths 1, 2,
+// 4 and 8 with one little-endian load or store. An access that straddles a
+// page boundary is split here and nowhere else: OnPage says how many bytes
+// lie on the first page, and ReadSplit/WriteSplit assemble or scatter the
+// value across the two frames. Every memory bus (hypervisor.Access, the
+// provider protection engine, the dbi and guest direct buses and the STM's
+// raw undo-log path) translates both pages and then calls these.
 package vm
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+)
 
 // PageShift is log2 of the page size. 4 KiB pages, as on x86-64.
 const PageShift = 12
@@ -74,11 +85,17 @@ func (m *Machine) Frames() int { return m.live }
 // frame returns the backing array, panicking on invalid frames: callers are
 // the hypervisor/loader, which must never hold stale frame handles.
 func (m *Machine) frame(id FrameID) *Frame {
-	if uint64(id) < uint64(len(m.frames)) {
-		if f := m.frames[id]; f != nil {
-			return f
-		}
+	if uint64(id) >= uint64(len(m.frames)) || m.frames[id] == nil {
+		invalidFrame(id)
 	}
+	return m.frames[id]
+}
+
+// invalidFrame panics on an access to a frame that is not live. It is kept
+// out of line so that frame inlines into every access.
+//
+//go:noinline
+func invalidFrame(id FrameID) {
 	panic(fmt.Sprintf("vm: access to invalid frame %d", id))
 }
 
@@ -100,30 +117,85 @@ func (m *Machine) Write(id FrameID, off uint64, src []byte) {
 	copy(f[off:], src)
 }
 
-// ReadU reads an n-byte little-endian unsigned value (n ∈ {1,2,4,8}) at off.
-// The access must not cross the frame boundary; the MMU splits unaligned
-// guest accesses before they reach the machine.
+// ReadU reads an n-byte little-endian unsigned value at off. Widths 1, 2,
+// 4 and 8 are one load; widths 3, 5, 6 and 7 only occur as the halves of a
+// page-straddling access (see ReadSplit) and are assembled bytewise. The
+// access must not cross the frame boundary.
 func (m *Machine) ReadU(id FrameID, off uint64, n uint8) uint64 {
 	f := m.frame(id)
 	if off+uint64(n) > PageSize {
 		panic(fmt.Sprintf("vm: readU crosses frame boundary: off %d n %d", off, n))
 	}
+	b := f[off:]
+	switch n {
+	case 8:
+		return binary.LittleEndian.Uint64(b)
+	case 4:
+		return uint64(binary.LittleEndian.Uint32(b))
+	case 2:
+		return uint64(binary.LittleEndian.Uint16(b))
+	case 1:
+		return uint64(b[0])
+	}
 	var v uint64
 	for i := uint8(0); i < n; i++ {
-		v |= uint64(f[off+uint64(i)]) << (8 * i)
+		v |= uint64(b[i]) << (8 * i)
 	}
 	return v
 }
 
-// WriteU writes an n-byte little-endian unsigned value at off.
+// WriteU writes an n-byte little-endian unsigned value at off, with the
+// same width handling and boundary rule as ReadU.
 func (m *Machine) WriteU(id FrameID, off uint64, n uint8, v uint64) {
 	f := m.frame(id)
 	if off+uint64(n) > PageSize {
 		panic(fmt.Sprintf("vm: writeU crosses frame boundary: off %d n %d", off, n))
 	}
-	for i := uint8(0); i < n; i++ {
-		f[off+uint64(i)] = byte(v >> (8 * i))
+	b := f[off:]
+	switch n {
+	case 8:
+		binary.LittleEndian.PutUint64(b, v)
+		return
+	case 4:
+		binary.LittleEndian.PutUint32(b, uint32(v))
+		return
+	case 2:
+		binary.LittleEndian.PutUint16(b, uint16(v))
+		return
+	case 1:
+		b[0] = byte(v)
+		return
 	}
+	for i := uint8(0); i < n; i++ {
+		b[i] = byte(v >> (8 * i))
+	}
+}
+
+// OnPage returns how many of the size bytes at addr lie on addr's page.
+// A result below size means the access straddles a page boundary: its
+// remaining size-OnPage bytes start at offset 0 of the next page, and the
+// caller translates addr+OnPage before reading or writing either half with
+// ReadSplit/WriteSplit.
+func OnPage(addr uint64, size uint8) uint8 {
+	if rest := PageSize - PageOff(addr); rest < uint64(size) {
+		return uint8(rest)
+	}
+	return size
+}
+
+// ReadSplit reads an n-byte little-endian value whose first `first` bytes
+// lie at off in frame f1 and whose remaining n-first bytes start at offset
+// 0 of frame f2 (first = OnPage(addr, n)).
+func (m *Machine) ReadSplit(f1 FrameID, off uint64, f2 FrameID, first, n uint8) uint64 {
+	lo := m.ReadU(f1, off, first)
+	return lo | m.ReadU(f2, 0, n-first)<<(8*first)
+}
+
+// WriteSplit is the store analogue of ReadSplit: the low `first` bytes of v
+// go to f1 at off, the rest to the start of f2.
+func (m *Machine) WriteSplit(f1 FrameID, off uint64, f2 FrameID, first, n uint8, v uint64) {
+	m.WriteU(f1, off, first, v)
+	m.WriteU(f2, 0, n-first, v>>(8*first))
 }
 
 // PageNum returns the virtual page number containing addr.
