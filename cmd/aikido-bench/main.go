@@ -7,13 +7,11 @@
 // Usage:
 //
 //	aikido-bench [-experiment all|fig5|fig6|table1|table2|ablation|paging|
-//	              switch|providers|detectors|muxbench|epochs|deferred|vector|
-//	              phase|static|scaling|nondet|stm|crew]
+//	              switch|providers|detectors|muxbench|epochs|static|
+//	              scaling|nondet|stm|crew]
 //	             [-scale F] [-threads N] [-workers N] [-json FILE]
-//	             [-muxjson FILE] [-epochjson FILE] [-deferredjson FILE]
-//	             [-vecjson FILE] [-phasejson FILE] [-staticjson FILE]
-//	             [-epoch] [-dispatch inline|deferred|vectorized|phased]
-//	             [-analysis NAME[,NAME...]] [-deterministic]
+//	             [-muxjson FILE] [-epochjson FILE] [-staticjson FILE]
+//	             [-epoch] [-analysis NAME[,NAME...]] [-deterministic]
 //	aikido-bench -experiment chaos [-chaos PLAN] [-scale F] [-workers N]
 //	aikido-bench -compare OLD.json,NEW.json [-max-regress-pct P]
 //
@@ -47,32 +45,6 @@
 // measures the demotion win on the phased/migratory workload suite, where
 // it does fire.
 //
-// -dispatch selects the analysis dispatch mode for every analysis-bearing
-// cell: inline clean calls per access (the default), deferred per-thread
-// rings drained in batches at synchronization boundaries, vectorized —
-// deferred plus page-grouped batch kernels that run-length coalesce
-// same-state records. Under the default cost model all three are
-// byte-identical — CI's equivalence legs diff "-dispatch deferred" and
-// "-dispatch vectorized" reports against the inline baseline to pin
-// exactly that. The deferred experiment (and -deferredjson, the
-// BENCH_5.json source) measures the batching win under the explicit
-// transition-cost model (stats.DispatchCosts); the vector experiment (and
-// -vecjson, the BENCH_7.json source) measures what the vectorized kernels
-// recover on top of BENCH_5's deferred-scalar cells. The fourth mode is
-// phased — inline delivery for joined pages plus Doppel-style split
-// phases for hot ones (see docs/phases.md): pages the sharing detector classifies as
-// many-writer-every-epoch bank their accesses in per-thread delta rings
-// at PhaseBankRecord instead of paying the per-access clean call, and a
-// reconciliation merge folds the deltas into canonical shadow state —
-// in (seq, addr, kind) order, strictly before every phase flip, sync
-// event or epoch sweep — so findings stay byte-identical to inline.
-// Under the default cost model phased is byte-identical to the inline
-// baseline too (banking is charge-free and delivery order-preserving) —
-// CI's "-dispatch phased" equivalence legs diff exactly that. The phase
-// experiment (and -phasejson, the BENCH_9.json source) measures the
-// split-phase win on permanently-hot pages (falseshare, zipf-hot) under
-// the transition-cost model, with every PARSEC model as guard rail.
-//
 // The static experiment (and -staticjson, the BENCH_10.json source)
 // measures the static privacy pre-pass (internal/staticanalysis): the
 // same Aikido FastTrack cell with pure dynamic classification vs the
@@ -86,15 +58,17 @@
 //
 // -experiment chaos is the fault-isolation acceptance harness and is NOT
 // part of "all": it runs the chaos matrix (every Figure-5 model×mode cell
-// plus the epoch suite's demoting workloads and the hot phased cells)
-// under the deterministic
+// plus the epoch suite's demoting workloads) under the deterministic
 // fault-injection plan given with -chaos ("[seed=N;]KIND:SEAM[@COUNT];…",
 // see internal/faultinject), and exits nonzero if any containment
 // contract breaks — an injected fault escaping as a process crash, a
 // failure that is not a typed error, a report that differs between
 // -workers N and -workers 1, or (with an empty plan) any byte of
-// divergence from the chaos-free matrix. CI runs three seeded plans and
+// divergence from the chaos-free matrix. CI runs seeded plans and
 // asserts exit 0.
+//
+// An -experiment value that names no experiment exits 2 before anything
+// runs.
 //
 // -compare OLD,NEW is the CI bench-regression gate: both files must be
 // BENCH-style snapshots of the same schema and scale, and the command
@@ -105,29 +79,199 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
+	"slices"
+	"strings"
 
 	"repro/internal/analysis"
-	"repro/internal/core"
 	"repro/internal/experiments"
 )
 
+// experiment is one text experiment -experiment can select.
+type experiment struct {
+	name string
+	run  func(o experiments.Options, w io.Writer) error
+}
+
+// textExperiments are the text experiments in the order "all" runs them.
+// The -experiment check and its usage string both derive from this list.
+var textExperiments = []experiment{
+	{"fig5", func(o experiments.Options, w io.Writer) error {
+		rows, err := experiments.Figure5(o)
+		if err != nil {
+			return err
+		}
+		experiments.WriteFigure5(w, rows)
+		return nil
+	}},
+	{"fig6", func(o experiments.Options, w io.Writer) error {
+		rows, err := experiments.Figure6(o)
+		if err != nil {
+			return err
+		}
+		experiments.WriteFigure6(w, rows)
+		return nil
+	}},
+	{"table1", func(o experiments.Options, w io.Writer) error {
+		cells, err := experiments.Table1(o)
+		if err != nil {
+			return err
+		}
+		experiments.WriteTable1(w, cells)
+		return nil
+	}},
+	{"table2", func(o experiments.Options, w io.Writer) error {
+		rows, red, err := experiments.Table2(o)
+		if err != nil {
+			return err
+		}
+		experiments.WriteTable2(w, rows, red)
+		return nil
+	}},
+	{"ablation", func(o experiments.Options, w io.Writer) error {
+		rows, err := experiments.Ablations(o)
+		if err != nil {
+			return err
+		}
+		experiments.WriteAblations(w, rows)
+		return nil
+	}},
+	{"paging", func(o experiments.Options, w io.Writer) error {
+		rows, err := experiments.AblationPaging(o)
+		if err != nil {
+			return err
+		}
+		experiments.WriteAblationPaging(w, rows)
+		return nil
+	}},
+	{"switch", func(o experiments.Options, w io.Writer) error {
+		rows, err := experiments.AblationSwitch(o)
+		if err != nil {
+			return err
+		}
+		experiments.WriteAblationSwitch(w, rows)
+		return nil
+	}},
+	{"providers", func(o experiments.Options, w io.Writer) error {
+		rows, err := experiments.AblationProviders(o)
+		if err != nil {
+			return err
+		}
+		experiments.WriteAblationProviders(w, rows)
+		return nil
+	}},
+	{"detectors", func(o experiments.Options, w io.Writer) error {
+		rows, err := experiments.ExtensionDetectors(o)
+		if err != nil {
+			return err
+		}
+		experiments.WriteExtensionDetectors(w, rows)
+		return nil
+	}},
+	{"muxbench", func(o experiments.Options, w io.Writer) error {
+		rows, err := experiments.MuxAmortization(o)
+		if err != nil {
+			return err
+		}
+		experiments.WriteMuxAmortization(w, rows)
+		return nil
+	}},
+	{"epochs", func(o experiments.Options, w io.Writer) error {
+		rows, err := experiments.Epochs(o)
+		if err != nil {
+			return err
+		}
+		experiments.WriteEpochs(w, rows)
+		return nil
+	}},
+	{"static", func(o experiments.Options, w io.Writer) error {
+		rows, err := experiments.StaticAmortization(o)
+		if err != nil {
+			return err
+		}
+		experiments.WriteStaticAmortization(w, rows)
+		// The static experiment doubles as the CI equivalence leg: any
+		// findings divergence, tripwire or unexpected fallback is a
+		// soundness failure, not a performance result.
+		for _, r := range rows {
+			if !r.FindingsIdentical {
+				return fmt.Errorf("%s: findings diverge between dynamic and static cells", r.Name)
+			}
+			if r.Tripwires > 0 {
+				return fmt.Errorf("%s: %d soundness tripwires fired", r.Name, r.Tripwires)
+			}
+			if r.Fallback != "" {
+				return fmt.Errorf("%s: static pass fell back: %s", r.Name, r.Fallback)
+			}
+		}
+		return nil
+	}},
+	{"scaling", func(o experiments.Options, w io.Writer) error {
+		pts, err := experiments.ExtensionScaling(o)
+		if err != nil {
+			return err
+		}
+		experiments.WriteExtensionScaling(w, pts)
+		return nil
+	}},
+	{"nondet", func(o experiments.Options, w io.Writer) error {
+		rows, err := experiments.ExtensionNondeterminator(o)
+		if err != nil {
+			return err
+		}
+		experiments.WriteExtensionNondeterminator(w, rows)
+		return nil
+	}},
+	{"stm", func(o experiments.Options, w io.Writer) error {
+		rows, err := experiments.ExtensionSTM(o)
+		if err != nil {
+			return err
+		}
+		experiments.WriteExtensionSTM(w, rows)
+		return nil
+	}},
+	{"crew", func(o experiments.Options, w io.Writer) error {
+		rows, err := experiments.ExtensionCREW(o)
+		if err != nil {
+			return err
+		}
+		experiments.WriteExtensionCREW(w, rows)
+		return nil
+	}},
+}
+
+// experimentNames lists every valid -experiment value: "all", each text
+// experiment, and the chaos harness.
+func experimentNames() []string {
+	names := []string{"all"}
+	for _, e := range textExperiments {
+		names = append(names, e.name)
+	}
+	return append(names, "chaos")
+}
+
+// checkExperiment rejects an -experiment value that names no experiment.
+func checkExperiment(name string) error {
+	names := experimentNames()
+	if !slices.Contains(names, name) {
+		return fmt.Errorf("unknown -experiment %q (want one of %s)", name, strings.Join(names, ", "))
+	}
+	return nil
+}
+
 func main() {
-	exp := flag.String("experiment", "all", "which experiment: all, fig5, fig6, table1, table2, ablation, paging, switch, providers, detectors, muxbench, epochs, deferred, vector, phase, static, scaling, nondet, stm, crew")
+	exp := flag.String("experiment", "all", "which experiment: "+strings.Join(experimentNames(), ", "))
 	scale := flag.Float64("scale", 1.0, "workload size multiplier (1.0 = simsmall-scaled default)")
 	threads := flag.Int("threads", 0, "override worker threads (0 = benchmark default, 8)")
 	workers := flag.Int("workers", runtime.NumCPU(), "runner pool size for the experiment sweep (results are identical at any value)")
 	jsonOut := flag.String("json", "", "write a machine-readable bench report to this file (\"-\" = stdout) instead of running text experiments")
 	muxOut := flag.String("muxjson", "", "write the mux-amortization report (BENCH_3.json snapshots) to this file (\"-\" = stdout)")
 	epochOut := flag.String("epochjson", "", "write the epoch re-privatization report (BENCH_4.json snapshots) to this file (\"-\" = stdout)")
-	deferredOut := flag.String("deferredjson", "", "write the deferred-dispatch amortization report (BENCH_5.json snapshots) to this file (\"-\" = stdout)")
-	vecOut := flag.String("vecjson", "", "write the batch-vectorization report (BENCH_7.json snapshots) to this file (\"-\" = stdout)")
-	phaseOut := flag.String("phasejson", "", "write the split-phase hot-page report (BENCH_9.json snapshots) to this file (\"-\" = stdout)")
 	staticOut := flag.String("staticjson", "", "write the static privacy pre-pass report (BENCH_10.json snapshots) to this file (\"-\" = stdout)")
 	epoch := flag.Bool("epoch", false, "enable epoch-based re-privatization in every Aikido cell (CI diffs this against the baseline)")
-	dispatch := flag.String("dispatch", "inline", "analysis dispatch mode for every analysis-bearing cell: inline, deferred, vectorized or phased (CI diffs every non-inline mode against the inline baseline)")
 	det := flag.Bool("deterministic", false, "zero wall_ns in machine-readable reports so output bytes depend only on simulated metrics")
 	analyses := flag.String("analysis", "", "comma-separated analyses for every analysis-bearing cell (registry names; empty = default FastTrack)")
 	chaosPlan := flag.String("chaos", "", "with -experiment chaos: the fault-injection plan [seed=N;]KIND:SEAM[@COUNT];... (empty = idle-overhead identity check)")
@@ -136,6 +280,10 @@ func main() {
 	flag.Parse()
 	if !(*scale > 0) || math.IsInf(*scale, 1) {
 		fmt.Fprintf(os.Stderr, "aikido-bench: -scale must be a finite number > 0, got %v\n", *scale)
+		os.Exit(2)
+	}
+	if err := checkExperiment(*exp); err != nil {
+		fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -156,16 +304,9 @@ func main() {
 		return
 	}
 
-	dm, err := core.ParseDispatchMode(*dispatch)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
-		os.Exit(2)
-	}
 	o := experiments.Options{Scale: *scale, Threads: *threads, Workers: *workers,
-		Deterministic: *det, Analyses: analysis.ParseList(*analyses), Epoch: *epoch,
-		Dispatch: dm}
+		Deterministic: *det, Analyses: analysis.ParseList(*analyses), Epoch: *epoch}
 	w := os.Stdout
-
 	// The chaos harness replaces the text experiments entirely (and is
 	// excluded from -experiment all): it sweeps its own matrix twice for
 	// the determinism check and asserts its containment contracts,
@@ -194,11 +335,9 @@ func main() {
 		return f
 	}
 
-	// -json, -muxjson, -epochjson, -deferredjson, -vecjson, -phasejson and
-	// -staticjson each replace the text experiments; given together, every
-	// requested report is produced.
-	if *jsonOut != "" || *muxOut != "" || *epochOut != "" || *deferredOut != "" ||
-		*vecOut != "" || *phaseOut != "" || *staticOut != "" {
+	// -json, -muxjson, -epochjson and -staticjson each replace the text
+	// experiments; given together, every requested report is produced.
+	if *jsonOut != "" || *muxOut != "" || *epochOut != "" || *staticOut != "" {
 		if *jsonOut != "" {
 			rep, err := experiments.BenchJSON(o)
 			if err != nil {
@@ -244,51 +383,6 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		if *deferredOut != "" {
-			rep, err := experiments.DeferredJSON(o)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "aikido-bench: deferredjson: %v\n", err)
-				os.Exit(1)
-			}
-			out := openOut(*deferredOut)
-			if out != os.Stdout {
-				defer out.Close()
-			}
-			if err := experiments.WriteDeferredJSON(out, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *vecOut != "" {
-			rep, err := experiments.VectorJSON(o)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "aikido-bench: vecjson: %v\n", err)
-				os.Exit(1)
-			}
-			out := openOut(*vecOut)
-			if out != os.Stdout {
-				defer out.Close()
-			}
-			if err := experiments.WriteVectorJSON(out, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *phaseOut != "" {
-			rep, err := experiments.PhaseJSON(o)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "aikido-bench: phasejson: %v\n", err)
-				os.Exit(1)
-			}
-			out := openOut(*phaseOut)
-			if out != os.Stdout {
-				defer out.Close()
-			}
-			if err := experiments.WritePhaseJSON(out, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
-				os.Exit(1)
-			}
-		}
 		if *staticOut != "" {
 			rep, err := experiments.StaticJSON(o)
 			if err != nil {
@@ -307,181 +401,14 @@ func main() {
 		return
 	}
 
-	run := func(name string, f func() error) {
-		if *exp != "all" && *exp != name {
-			return
+	for _, e := range textExperiments {
+		if *exp != "all" && *exp != e.name {
+			continue
 		}
-		if err := f(); err != nil {
-			fmt.Fprintf(os.Stderr, "aikido-bench: %s: %v\n", name, err)
+		if err := e.run(o, w); err != nil {
+			fmt.Fprintf(os.Stderr, "aikido-bench: %s: %v\n", e.name, err)
 			os.Exit(1)
 		}
 		fmt.Fprintln(w)
 	}
-
-	run("fig5", func() error {
-		rows, err := experiments.Figure5(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteFigure5(w, rows)
-		return nil
-	})
-	run("fig6", func() error {
-		rows, err := experiments.Figure6(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteFigure6(w, rows)
-		return nil
-	})
-	run("table1", func() error {
-		cells, err := experiments.Table1(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteTable1(w, cells)
-		return nil
-	})
-	run("table2", func() error {
-		rows, red, err := experiments.Table2(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteTable2(w, rows, red)
-		return nil
-	})
-	run("ablation", func() error {
-		rows, err := experiments.Ablations(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteAblations(w, rows)
-		return nil
-	})
-	run("paging", func() error {
-		rows, err := experiments.AblationPaging(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteAblationPaging(w, rows)
-		return nil
-	})
-	run("switch", func() error {
-		rows, err := experiments.AblationSwitch(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteAblationSwitch(w, rows)
-		return nil
-	})
-	run("providers", func() error {
-		rows, err := experiments.AblationProviders(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteAblationProviders(w, rows)
-		return nil
-	})
-	run("detectors", func() error {
-		rows, err := experiments.ExtensionDetectors(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteExtensionDetectors(w, rows)
-		return nil
-	})
-	run("muxbench", func() error {
-		rows, err := experiments.MuxAmortization(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteMuxAmortization(w, rows)
-		return nil
-	})
-	run("epochs", func() error {
-		rows, err := experiments.Epochs(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteEpochs(w, rows)
-		return nil
-	})
-	run("deferred", func() error {
-		rows, err := experiments.DeferredAmortization(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteDeferredAmortization(w, rows)
-		return nil
-	})
-	run("vector", func() error {
-		rows, err := experiments.VectorAmortization(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteVectorAmortization(w, rows)
-		return nil
-	})
-	run("phase", func() error {
-		rows, err := experiments.PhaseAmortization(o)
-		if err != nil {
-			return err
-		}
-		experiments.WritePhaseAmortization(w, rows)
-		return nil
-	})
-	run("static", func() error {
-		rows, err := experiments.StaticAmortization(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteStaticAmortization(w, rows)
-		// The static experiment doubles as the CI equivalence leg: any
-		// findings divergence, tripwire or unexpected fallback is a
-		// soundness failure, not a performance result.
-		for _, r := range rows {
-			if !r.FindingsIdentical {
-				return fmt.Errorf("%s: findings diverge between dynamic and static cells", r.Name)
-			}
-			if r.Tripwires > 0 {
-				return fmt.Errorf("%s: %d soundness tripwires fired", r.Name, r.Tripwires)
-			}
-			if r.Fallback != "" {
-				return fmt.Errorf("%s: static pass fell back: %s", r.Name, r.Fallback)
-			}
-		}
-		return nil
-	})
-	run("scaling", func() error {
-		pts, err := experiments.ExtensionScaling(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteExtensionScaling(w, pts)
-		return nil
-	})
-	run("nondet", func() error {
-		rows, err := experiments.ExtensionNondeterminator(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteExtensionNondeterminator(w, rows)
-		return nil
-	})
-	run("stm", func() error {
-		rows, err := experiments.ExtensionSTM(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteExtensionSTM(w, rows)
-		return nil
-	})
-	run("crew", func() error {
-		rows, err := experiments.ExtensionCREW(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteExtensionCREW(w, rows)
-		return nil
-	})
 }

@@ -25,15 +25,29 @@ func TestMain(m *testing.M) {
 
 // TestRejectsBadFlags: unusable flag values exit 2 before anything runs —
 // in particular before a -json report file is created. -scale must be a
-// finite number > 0, and the removed parallel dispatch mode is an unknown
-// value.
+// finite number > 0, -experiment must name an experiment, and the flags
+// of the removed batched dispatch modes are unknown. Every listed
+// experiment name passes the -experiment check.
 func TestRejectsBadFlags(t *testing.T) {
+	for _, name := range experimentNames() {
+		if err := checkExperiment(name); err != nil {
+			t.Errorf("listed experiment %q rejected: %v", name, err)
+		}
+	}
 	for _, args := range [][]string{
 		{"-scale", "0"},
 		{"-scale", "-1"},
 		{"-scale", "NaN"},
 		{"-scale", "+Inf"},
-		{"-scale", "0.05", "-dispatch", "parallel"},
+		{"-scale", "0.05", "-dispatch", "inline"},
+		{"-scale", "0.05", "-deferredjson", "deferred.json"},
+		{"-scale", "0.05", "-vecjson", "vec.json"},
+		{"-scale", "0.05", "-phasejson", "phase.json"},
+		{"-scale", "0.25", "-experiment", "nosuch"},
+		{"-scale", "0.25", "-experiment", "fig55"},
+		{"-scale", "0.25", "-experiment", "deferred"},
+		{"-scale", "0.25", "-experiment", "vector"},
+		{"-scale", "0.25", "-experiment", "phase"},
 	} {
 		out := filepath.Join(t.TempDir(), "report.json")
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)

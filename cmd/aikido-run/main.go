@@ -7,7 +7,6 @@
 //	aikido-run [-bench NAME|all] [-mode native|dbi|fasttrack|aikido|profile]
 //	           [-analysis NAME[,NAME...]] [-max-findings N] [-epoch]
 //	           [-static] [-static-verify]
-//	           [-dispatch inline|deferred|vectorized|phased]
 //	           [-provider aikidovm|dos|dthreads] [-paging shadow|nested]
 //	           [-switch hypercall|segtrap|probe]
 //	           [-threads N] [-scale F] [-workers N] [-findings] [-list]
@@ -28,28 +27,6 @@
 // owner are demoted to Private(owner)/Unused at epoch boundaries and
 // their instructions return to native speed; the epoch statistics lines
 // report the demotion traffic.
-//
-// -dispatch deferred banks access events in per-thread rings and replays
-// them through the selected analyses in deterministic batches at
-// synchronization boundaries instead of calling them per access; findings
-// and statistics are identical to the inline default (the run report adds
-// the pipeline's drain/record counts). -dispatch vectorized additionally
-// groups each drained batch by page and hands contiguous same-page runs
-// to the detectors' batch kernels, which coalesce same-epoch runs and
-// retire report-free singletons against one hoisted metadata load —
-// still byte-identical to inline under the default cost model. -dispatch
-// phased delivers
-// joined pages inline but flips pages the sharing detector classifies as
-// hot — many-writer every epoch for a sustained streak — into
-// Doppel-style split phases (docs/phases.md): split-page accesses bank
-// in per-thread delta rings and a reconciliation merge replays them in
-// canonical (seq, addr, kind) order at every drain point, strictly
-// before any phase flip, sync event or epoch sweep, so findings are
-// byte-identical to inline on any schedule. Phased dispatch implies
-// -epoch (the classifier lives in the epoch sweep; the default policies
-// are filled in when unset). A reconcile fault (seam "reconcile")
-// replays the merged batch inline and latches inline dispatch — no
-// banked record is lost or duplicated.
 //
 // -static enables the static privacy pre-pass in the Aikido modes
 // (internal/staticanalysis): before first execution, a CFG + abstract
@@ -72,8 +49,8 @@
 //
 // Fault isolation (see internal/faultinject and ARCHITECTURE.md):
 // -chaos injects a deterministic fault plan ("seed=N;KIND:SEAM[@COUNT];…"
-// with kinds panic|error|stall and seams
-// provider|guest|drain|analysis|reconcile|static) into every cell;
+// with kinds panic|error|stall and seams provider|guest|analysis|static)
+// into every cell;
 // -max-cycles and -cell-deadline bound each cell's simulated-cycle and
 // wall-clock consumption with typed budget errors;
 // -keep-going records failing cells in the report and finishes the rest
@@ -126,7 +103,6 @@ func run(args []string) int {
 	epoch := fs.Bool("epoch", false, "enable epoch-based re-privatization of Shared pages (Aikido modes)")
 	static := fs.Bool("static", false, "enable the static privacy pre-pass: prune instrumentation of provably-private PCs and pre-seed single-owner pages (Aikido modes; findings identical to off)")
 	staticVerify := fs.Bool("static-verify", false, "implies -static; add a tripwire assertion to every pruned PC that hard-fails if its proof is refuted at runtime")
-	dispatch := fs.String("dispatch", "inline", "analysis dispatch mode: inline (per access), deferred (batched ring drains), vectorized (batched + page-grouped kernels) or phased (split-phase hot-page banking; implies -epoch)")
 	prov := fs.String("provider", "aikidovm", "per-thread protection provider: aikidovm, dos, dthreads (§7.1)")
 	paging := fs.String("paging", "shadow", "AikidoVM paging mode: shadow, nested (§3.2.2)")
 	swi := fs.String("switch", "hypercall", "context-switch interception: hypercall, segtrap, probe (§3.2.3)")
@@ -137,7 +113,7 @@ func run(args []string) int {
 	races := fs.Bool("races", false, "alias for -findings")
 	list := fs.Bool("list", false, "list benchmarks and exit")
 	listAn := fs.Bool("list-analyses", false, "list registered analyses and exit")
-	chaos := fs.String("chaos", "", "fault-injection plan: [seed=N;]KIND:SEAM[@COUNT];... (kinds panic|error|stall, seams provider|guest|drain|analysis|reconcile|static)")
+	chaos := fs.String("chaos", "", "fault-injection plan: [seed=N;]KIND:SEAM[@COUNT];... (kinds panic|error|stall, seams provider|guest|analysis|static)")
 	maxCycles := fs.Uint64("max-cycles", 0, "per-cell simulated-cycle budget (0 = unlimited); overrun is a typed cell error")
 	cellDeadline := fs.Duration("cell-deadline", 0, "per-cell wall-clock budget (0 = unlimited); overrun is a typed cell error")
 	keepGoing := fs.Bool("keep-going", false, "record failing cells and finish the sweep instead of aborting on the first error")
@@ -212,12 +188,6 @@ func run(args []string) int {
 	cfg := core.DefaultConfig(m)
 	cfg.Analyses = analysis.ParseList(*analyses)
 	cfg.MaxFindings = *maxFindings
-	dm, err := core.ParseDispatchMode(*dispatch)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "aikido-run: %v\n", err)
-		return exitBadFlags
-	}
-	cfg.Dispatch = dm
 	cfg.Provider = pk
 	cfg.Paging = pg
 	cfg.Switch = sw
@@ -327,18 +297,6 @@ func run(args []string) int {
 	fmt.Printf("memory refs      %d\n", res.Engine.MemRefs)
 	fmt.Printf("instrumented     %d\n", res.Engine.InstrumentedExecs)
 	fmt.Printf("context switches %d\n", res.GuestContextSwitches)
-	if res.DeferredDrains > 0 || res.DeferredFallbacks > 0 {
-		fmt.Printf("deferred drains  %d (%d access records banked, %d inline fallbacks)\n",
-			res.DeferredDrains, res.DeferredRecords, res.DeferredFallbacks)
-	}
-	if res.DeferredGroups > 0 {
-		fmt.Printf("vector groups    %d (%d records retired in-kernel, %d scalar fallbacks)\n",
-			res.DeferredGroups, res.VectorCoalesced, res.VectorFallbacks)
-	}
-	if res.PhaseReconciles > 0 || res.PhaseBanked > 0 {
-		fmt.Printf("phase reconciles %d (%d records banked, %d pages split, %d rejoined)\n",
-			res.PhaseReconciles, res.PhaseBanked, res.SD.PagesSplit, res.SD.PagesJoined)
-	}
 	if m == core.ModeAikidoFastTrack || m == core.ModeAikidoProfile {
 		fmt.Printf("provider         %s (paging %s, switch %s)\n", pk, pg, sw)
 		fmt.Printf("shared accesses  %d (%.2f%% of memory refs)\n",

@@ -103,10 +103,6 @@ type Detector struct {
 	MaxViolations int
 	liveThreads   int
 
-	// vec describes the vectorized batch kernel (see batch.go); kept out
-	// of Counters so findings stay byte-identical across dispatch modes.
-	vec vecStats
-
 	C Counters
 }
 

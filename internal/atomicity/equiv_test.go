@@ -6,14 +6,13 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/guest"
 	"repro/internal/isa"
 	"repro/internal/stats"
 )
 
 // refDetector is a naive AVIO checker: per-variable state lives in a plain
-// map of pointers, with no batch kernel and no paging. It is the oracle
+// map of pointers, with no paging. It is the oracle
 // the block-store detector must match.
 type refDetector struct {
 	costs      stats.CostModel
@@ -136,7 +135,7 @@ const (
 
 // genOps draws a random event sequence. Addresses cluster on a few
 // blocks per page so regions see remote interleavings, and runs of
-// repeated accesses exercise the batch kernel's coalescing. Accesses may
+// repeated accesses hit the same cell back to back. Accesses may
 // straddle blocks but never pages.
 func genOps(rng *rand.Rand, n int) []op {
 	sizes := []uint8{1, 2, 4, 8}
@@ -162,43 +161,18 @@ func genOps(rng *rand.Rand, n int) []op {
 	return ops
 }
 
-// batcher banks accesses as records and delivers them, page-grouped,
-// whenever a sync event is about to be dispatched — the vectorized
-// pipeline's drain discipline.
-type batcher struct {
-	recs   []analysis.AccessRecord
-	groups []analysis.AccessGroup
-	seq    uint64
-}
-
-func (b *batcher) push(o op) {
-	b.seq++
-	b.recs = append(b.recs, analysis.AccessRecord{
-		Seq: b.seq, Addr: o.addr, PC: o.pc, TID: o.tid, Size: o.size, Write: o.write,
-	})
-}
-
-// drain delivers the banked records to deliver and empties the bank.
-func (b *batcher) drain(deliver func(recs []analysis.AccessRecord, groups []analysis.AccessGroup)) {
-	if len(b.recs) > 0 {
-		b.groups = analysis.GroupByPage(b.recs, b.groups[:0])
-		deliver(b.recs, b.groups)
-	}
-	b.recs = b.recs[:0]
-}
-
 // checkAgainstRef compares a detector's findings, counters and block
 // store with the reference's: the store must hold exactly the reference's
 // variables, each in the reference's state.
-func checkAgainstRef(t *testing.T, seed int64, what string, d *Detector, ref *refDetector) {
+func checkAgainstRef(t *testing.T, seed int64, d *Detector, ref *refDetector) {
 	t.Helper()
 	want := slices.Clone(ref.violations)
 	slices.SortFunc(want, func(a, b Violation) int { return cmp.Compare(a.Addr, b.Addr) })
 	if got := d.Violations(); !slices.Equal(got, want) {
-		t.Fatalf("seed %d (%s): violations\n got %v\nwant %v", seed, what, got, want)
+		t.Fatalf("seed %d: violations\n got %v\nwant %v", seed, got, want)
 	}
 	if d.C != ref.C {
-		t.Fatalf("seed %d (%s): counters %+v, want %+v", seed, what, d.C, ref.C)
+		t.Fatalf("seed %d: counters %+v, want %+v", seed, d.C, ref.C)
 	}
 	touched := 0
 	for _, vs := range d.vars.Range {
@@ -207,65 +181,45 @@ func checkAgainstRef(t *testing.T, seed int64, what string, d *Detector, ref *re
 		}
 	}
 	if touched != len(ref.vars) {
-		t.Fatalf("seed %d (%s): store holds %d variables, want %d", seed, what, touched, len(ref.vars))
+		t.Fatalf("seed %d: store holds %d variables, want %d", seed, touched, len(ref.vars))
 	}
 	for b, rv := range ref.vars {
 		vs := d.vars.Cell(b)
 		got := refVar{vs.lastTID, vs.remoteTID, vs.lastRegion, vs.lastWrite, vs.remoteWrite, vs.remoteValid}
 		if !vs.touched || got != *rv {
-			t.Fatalf("seed %d (%s): var %#x = %+v, want %+v", seed, what, b, *vs, *rv)
+			t.Fatalf("seed %d: var %#x = %+v, want %+v", seed, b, *vs, *rv)
 		}
 	}
 }
 
 // TestBlockStoreMatchesReference is the atomicity equivalence property:
 // on random lock/access sequences the detector reports exactly the naive
-// map-backed reference's violations, counters and cycles — through the
-// scalar hooks and through the vectorized OnAccessGroups kernel.
+// map-backed reference's violations, counters and cycles.
 func TestBlockStoreMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		ops := genOps(rand.New(rand.NewSource(seed)), 300)
 		ref := newRef(genThreads)
 
-		newDet := func() (*Detector, *stats.Clock) {
-			clock := &stats.Clock{}
-			d := New(clock, stats.DefaultCosts())
-			d.AddThread(genThreads)
-			return d, clock
-		}
-		scalar, scalarClock := newDet()
-		grouped, groupedClock := newDet()
-
-		var gb batcher
-		drain := func() { gb.drain(grouped.OnAccessGroups) }
-		all := []analysis.Analysis{scalar, grouped}
+		clock := &stats.Clock{}
+		d := New(clock, stats.DefaultCosts())
+		d.AddThread(genThreads)
 		for _, o := range ops {
 			switch o.kind {
 			case 0:
-				drain()
 				ref.acquire(o.tid)
-				for _, a := range all {
-					a.OnAcquire(o.tid, 1)
-				}
+				d.OnAcquire(o.tid, 1)
 			case 1:
-				drain()
 				ref.release(o.tid)
-				for _, a := range all {
-					a.OnRelease(o.tid, 1)
-				}
+				d.OnRelease(o.tid, 1)
 			case 2:
 				ref.access(o.tid, o.pc, o.addr, o.size, o.write)
-				scalar.OnAccess(o.tid, o.pc, o.addr, o.size, o.write)
-				gb.push(o)
+				d.OnAccess(o.tid, o.pc, o.addr, o.size, o.write)
 			}
 		}
-		drain()
 
-		checkAgainstRef(t, seed, "scalar", scalar, ref)
-		checkAgainstRef(t, seed, "grouped", grouped, ref)
-		if scalarClock.Cycles() != ref.cycles || groupedClock.Cycles() != ref.cycles {
-			t.Fatalf("seed %d: cycles scalar %d grouped %d, want %d",
-				seed, scalarClock.Cycles(), groupedClock.Cycles(), ref.cycles)
+		checkAgainstRef(t, seed, d, ref)
+		if clock.Cycles() != ref.cycles {
+			t.Fatalf("seed %d: cycles %d, want %d", seed, clock.Cycles(), ref.cycles)
 		}
 	}
 }

@@ -5,14 +5,13 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/guest"
 	"repro/internal/stats"
 	"repro/internal/vm"
 )
 
 // refProfiler is a naive communication-graph profiler: last writers live
-// in a plain map, with no batch kernel and no paging. It is the oracle
+// in a plain map, with no paging. It is the oracle
 // the block-store profiler must match.
 type refProfiler struct {
 	costs      stats.CostModel
@@ -65,8 +64,6 @@ type op struct {
 	addr  uint64
 	size  uint8
 	write bool
-	// drain ends the current batch before this access (a sync point).
-	drain bool
 }
 
 const (
@@ -75,7 +72,7 @@ const (
 )
 
 // genOps draws a random access sequence over a few blocks per page, in
-// runs of repeats (the batch kernel's coalescing case). Accesses stay in
+// runs of repeats (consecutive same-block accesses). Accesses stay in
 // the first 40 bytes of a page.
 func genOps(rng *rand.Rand, n int) []op {
 	sizes := []uint8{1, 2, 4, 8}
@@ -86,11 +83,9 @@ func genOps(rng *rand.Rand, n int) []op {
 			addr:  uint64(rng.Intn(genPages))<<12 | uint64(rng.Intn(4))<<3 | uint64(rng.Intn(8)),
 			size:  sizes[rng.Intn(len(sizes))],
 			write: rng.Intn(3) == 0,
-			drain: rng.Intn(8) == 0,
 		}
 		for rep := 1 + rng.Intn(3); rep > 0 && len(ops) < n; rep-- {
 			ops = append(ops, o)
-			o.drain = false
 		}
 	}
 	return ops
@@ -98,16 +93,16 @@ func genOps(rng *rand.Rand, n int) []op {
 
 // checkAgainstRef compares a profiler's graph and counters with the
 // reference's.
-func checkAgainstRef(t *testing.T, seed int64, what string, a *Analysis, ref *refProfiler) {
+func checkAgainstRef(t *testing.T, seed int64, a *Analysis, ref *refProfiler) {
 	t.Helper()
 	if a.C != ref.C {
-		t.Fatalf("seed %d (%s): counters %+v, want %+v", seed, what, a.C, ref.C)
+		t.Fatalf("seed %d: counters %+v, want %+v", seed, a.C, ref.C)
 	}
 	if !maps.Equal(a.edges, ref.edges) {
-		t.Fatalf("seed %d (%s): edges %v, want %v", seed, what, a.edges, ref.edges)
+		t.Fatalf("seed %d: edges %v, want %v", seed, a.edges, ref.edges)
 	}
 	if !maps.EqualFunc(a.pageEdges, ref.pageEdges, maps.Equal) {
-		t.Fatalf("seed %d (%s): page edges %v, want %v", seed, what, a.pageEdges, ref.pageEdges)
+		t.Fatalf("seed %d: page edges %v, want %v", seed, a.pageEdges, ref.pageEdges)
 	}
 	written := 0
 	for _, w := range a.lastWriter.Range {
@@ -116,53 +111,33 @@ func checkAgainstRef(t *testing.T, seed int64, what string, a *Analysis, ref *re
 		}
 	}
 	if written != len(ref.lastWriter) {
-		t.Fatalf("seed %d (%s): %d written variables, want %d", seed, what, written, len(ref.lastWriter))
+		t.Fatalf("seed %d: %d written variables, want %d", seed, written, len(ref.lastWriter))
 	}
 	for key, w := range ref.lastWriter {
 		if got := *a.lastWriter.Cell(key); got != w {
-			t.Fatalf("seed %d (%s): last writer of %#x = %d, want %d", seed, what, key, got, w)
+			t.Fatalf("seed %d: last writer of %#x = %d, want %d", seed, key, got, w)
 		}
 	}
 }
 
 // TestBlockStoreMatchesReference is the commgraph equivalence property:
 // on random access sequences the profiler records exactly the naive
-// map-backed reference's graph, counters and cycles — through the scalar
-// hook and through the vectorized OnAccessGroups kernel.
+// map-backed reference's graph, counters and cycles.
 func TestBlockStoreMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		ops := genOps(rand.New(rand.NewSource(seed)), 300)
 		ref := newRef()
 
-		scalarClock, groupedClock := &stats.Clock{}, &stats.Clock{}
-		scalar := New(scalarClock, stats.DefaultCosts())
-		grouped := New(groupedClock, stats.DefaultCosts())
-
-		var recs []analysis.AccessRecord
-		drain := func() {
-			if len(recs) == 0 {
-				return
-			}
-			grouped.OnAccessGroups(recs, analysis.GroupByPage(recs, nil))
-			recs = recs[:0]
-		}
-		for i, o := range ops {
-			if o.drain {
-				drain()
-			}
+		clock := &stats.Clock{}
+		a := New(clock, stats.DefaultCosts())
+		for _, o := range ops {
 			ref.observe(o.tid, o.addr, o.write)
-			scalar.OnAccess(o.tid, 1, o.addr, o.size, o.write)
-			recs = append(recs, analysis.AccessRecord{
-				Seq: uint64(i + 1), Addr: o.addr, PC: 1, TID: o.tid, Size: o.size, Write: o.write,
-			})
+			a.OnAccess(o.tid, 1, o.addr, o.size, o.write)
 		}
-		drain()
 
-		checkAgainstRef(t, seed, "scalar", scalar, ref)
-		checkAgainstRef(t, seed, "grouped", grouped, ref)
-		if scalarClock.Cycles() != ref.cycles || groupedClock.Cycles() != ref.cycles {
-			t.Fatalf("seed %d: cycles scalar %d grouped %d, want %d",
-				seed, scalarClock.Cycles(), groupedClock.Cycles(), ref.cycles)
+		checkAgainstRef(t, seed, a, ref)
+		if clock.Cycles() != ref.cycles {
+			t.Fatalf("seed %d: cycles %d, want %d", seed, clock.Cycles(), ref.cycles)
 		}
 	}
 }

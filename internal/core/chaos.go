@@ -12,17 +12,9 @@ package core
 //	provider — chaosProvider around Provider.RearmPage; the panic is
 //	           recovered by the sharing detector's degradation path
 //	           (epoch demotion disabled for that page, run continues).
-//	analysis — chaosAnalysis, the OUTERMOST analysis wrapper: it sits
-//	           above the deferred pipeline so the seam's crossing counts
-//	           are identical under inline and deferred dispatch, and an
+//	analysis — chaosAnalysis, the wrapper over the analysis mux; an
 //	           empty plan leaves every byte-identity contract intact.
-//	drain    — inside pipeline.drain (dispatch.go), with the
-//	           deferred→inline fallback as the error-kind response.
-//	reconcile — pipeline.drain under phased dispatch (it replaces the
-//	           drain seam there): the split-phase reconciliation merge,
-//	           fired only with banked deltas pending. Error-kind faults
-//	           replay the merged batch inline and latch the pipeline
-//	           inline — no banked record lost or duplicated.
+//	static   — applyStatic, once before the static privacy pre-pass.
 
 import (
 	"fmt"
@@ -33,7 +25,6 @@ import (
 	"repro/internal/guest"
 	"repro/internal/isa"
 	"repro/internal/provider"
-	"repro/internal/sharing"
 )
 
 // BudgetError is the typed error a run returns when it exceeds a
@@ -103,11 +94,11 @@ func (c *chaosProvider) RearmPage(vpn uint64, owner guest.TID) {
 	c.Interface.RearmPage(vpn, owner)
 }
 
-// chaosAnalysis is the analysis seam: the outermost wrapper over the
-// assembled dispatch stack, firing once per analysis-bound access
-// event. Error-kind faults escalate to panics (the hooks return
-// nothing); the panicked value is the typed *faultinject.Fault, which
-// the runner's containment recovers into a CellError.
+// chaosAnalysis is the analysis seam: a wrapper over the analysis mux,
+// firing once per analysis-bound access event. Error-kind faults escalate
+// to panics (the hooks return nothing); the panicked value is the typed
+// *faultinject.Fault, which the runner's containment recovers into a
+// CellError.
 type chaosAnalysis struct {
 	analysis.Analysis
 	inj *faultinject.Injector
@@ -129,15 +120,4 @@ func (c *chaosAnalysis) OnAccess(tid guest.TID, pc isa.PC, addr uint64, size uin
 func (c *chaosAnalysis) OnSharedAccess(tid guest.TID, pc isa.PC, addr uint64, size uint8, write bool) {
 	c.fire()
 	c.Analysis.OnSharedAccess(tid, pc, addr, size, write)
-}
-
-// OnSplitAccess implements sharing.PhaseBanker, so banked split-phase
-// accesses cross the analysis seam exactly like delivered ones — the
-// seam's crossing counts stay identical whether a page is split or
-// joined, which keeps chaos plans portable across dispatch modes. The
-// wrapped stack is the phased pipeline whenever phases are armed (core
-// wires the banker through this wrapper only then).
-func (c *chaosAnalysis) OnSplitAccess(tid guest.TID, pc isa.PC, addr uint64, size uint8, write bool) {
-	c.fire()
-	c.Analysis.(sharing.PhaseBanker).OnSplitAccess(tid, pc, addr, size, write)
 }

@@ -117,36 +117,6 @@ func TestGuestErrorAbortsRun(t *testing.T) {
 	}
 }
 
-// TestDrainFallbackByteIdentical is the graceful-degradation contract
-// for the deferred pipeline: when a drain fails (injected drain-seam
-// error), the merged batch is replayed inline, the pipeline latches to
-// inline delivery for the rest of the run, and the final Result is
-// byte-identical to a plain inline run outside the pipeline's own
-// counters — no lost, duplicated, or reordered events, same cycles.
-func TestDrainFallbackByteIdentical(t *testing.T) {
-	bench := parsec.All()[0].WithScale(0.25)
-	prog, err := workload.Build(bench.Spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig(ModeAikidoFastTrack)
-	inline := runDispatch(t, prog, cfg, DispatchInline)
-
-	for _, mode := range []DispatchMode{DispatchDeferred, DispatchVectorized} {
-		chaosCfg := cfg
-		chaosCfg.Chaos = mustPlan(t, "error:drain@2")
-		fallen := runDispatch(t, prog, chaosCfg, mode)
-		if fallen.DeferredFallbacks != 1 {
-			t.Fatalf("%v: DeferredFallbacks = %d, want exactly 1 (one-shot trigger)",
-				mode, fallen.DeferredFallbacks)
-		}
-		if fallen.DeferredDrains == 0 || fallen.DeferredRecords == 0 {
-			t.Fatalf("%v: fallback run never ran deferred — the equivalence is vacuous", mode)
-		}
-		requireIdentical(t, bench.Name+"/fallback/"+mode.String(), inline, fallen)
-	}
-}
-
 // TestChaosEmptyPlanByteIdentical: a ruleless plan (seed only — the
 // parser refuses to build one, so construct it directly) must leave a
 // run byte-identical to no plan at all — the acceptance criterion that
@@ -157,22 +127,12 @@ func TestChaosEmptyPlanByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dispatch := range []DispatchMode{DispatchInline, DispatchDeferred, DispatchVectorized} {
-		cfg := DefaultConfig(ModeAikidoFastTrack)
-		cfg.Dispatch = dispatch
-		plain, err := Run(prog, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Chaos = &faultinject.Plan{Seed: 7}
-		armed, err := Run(prog, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(plain, armed) {
-			t.Errorf("%v: empty chaos plan perturbed the run:\nplain: %+v\narmed: %+v",
-				dispatch, plain, armed)
-		}
+	cfg := DefaultConfig(ModeAikidoFastTrack)
+	plain := runConfig(t, prog, cfg)
+	cfg.Chaos = &faultinject.Plan{Seed: 7}
+	armed := runConfig(t, prog, cfg)
+	if !reflect.DeepEqual(plain, armed) {
+		t.Errorf("empty chaos plan perturbed the run:\nplain: %+v\narmed: %+v", plain, armed)
 	}
 }
 

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"reflect"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/isa"
 	"repro/internal/parsec"
 	"repro/internal/sharing"
@@ -24,14 +24,17 @@ func stripEpochCounters(c sharing.Counters) sharing.Counters {
 	return c
 }
 
-// TestEpochParsecByteIdentical is the invariant CI's 3-way equivalence
-// leg enforces end-to-end: with the default epoch policy enabled, the
-// steadily-sharing PARSEC models must behave byte-identically to the
-// terminal-Shared baseline — same cycles, same races, same engine and
-// sharing counters — because demotion never fires on them (every shared
-// page keeps being touched by several threads per epoch). The epoch
-// machinery must still be demonstrably armed: ticks occur.
+// TestEpochParsecByteIdentical is the invariant CI's epoch equivalence
+// leg enforces end-to-end, over the whole analysis registry: with the
+// default epoch policy enabled, the steadily-sharing PARSEC models must
+// behave byte-identically to the terminal-Shared baseline — the whole
+// Result, outside the epoch clock's own tick and sweep counters — for
+// every registered analysis plus the sampled wrapper, because demotion
+// never fires on them (every shared page keeps being touched by several
+// threads per epoch). The epoch machinery must still be demonstrably
+// armed: ticks occur.
 func TestEpochParsecByteIdentical(t *testing.T) {
+	names := append(analysis.Names(), "sampled:lockset")
 	ticked := false
 	for _, bench := range parsec.All() {
 		bench := bench.WithScale(0.25)
@@ -39,31 +42,19 @@ func TestEpochParsecByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: build: %v", bench.Name, err)
 		}
-		base, err := Run(prog, DefaultConfig(ModeAikidoFastTrack))
-		if err != nil {
-			t.Fatalf("%s: baseline: %v", bench.Name, err)
-		}
-		cfg := DefaultConfig(ModeAikidoFastTrack)
-		cfg.Epoch = sharing.DefaultEpochPolicy()
-		ep, err := Run(prog, cfg)
-		if err != nil {
-			t.Fatalf("%s: epoch: %v", bench.Name, err)
-		}
-		ticked = ticked || ep.EpochTicks > 0
-		if d := ep.SD.PagesDemotedPrivate + ep.SD.PagesDemotedUnused; d != 0 {
-			t.Errorf("%s: default policy demoted %d pages on a steady model", bench.Name, d)
-		}
-		if base.Cycles != ep.Cycles {
-			t.Errorf("%s: cycles diverge: baseline %d, epoch %d", bench.Name, base.Cycles, ep.Cycles)
-		}
-		if !reflect.DeepEqual(racesOf(base), racesOf(ep)) {
-			t.Errorf("%s: races diverge:\nbaseline: %v\nepoch:    %v", bench.Name, racesOf(base), racesOf(ep))
-		}
-		if base.Engine != ep.Engine {
-			t.Errorf("%s: engine counters diverge:\nbaseline: %+v\nepoch:    %+v", bench.Name, base.Engine, ep.Engine)
-		}
-		if base.SD != stripEpochCounters(ep.SD) {
-			t.Errorf("%s: sharing counters diverge:\nbaseline: %+v\nepoch:    %+v", bench.Name, base.SD, ep.SD)
+		for _, name := range names {
+			cfg := DefaultConfig(ModeAikidoFastTrack).WithAnalyses(name)
+			base := runConfig(t, prog, cfg)
+			cfg.Epoch = sharing.DefaultEpochPolicy()
+			ep := *runConfig(t, prog, cfg)
+			label := bench.Name + "/" + name
+			ticked = ticked || ep.EpochTicks > 0
+			if d := ep.SD.PagesDemotedPrivate + ep.SD.PagesDemotedUnused; d != 0 {
+				t.Errorf("%s: default policy demoted %d pages on a steady model", label, d)
+			}
+			ep.EpochTicks = 0
+			ep.SD = stripEpochCounters(ep.SD)
+			requireIdentical(t, label, base, &ep)
 		}
 	}
 	if !ticked {

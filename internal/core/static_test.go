@@ -34,16 +34,10 @@ func requireSameFindings(t *testing.T, label string, dyn, st *Result) {
 	}
 }
 
-// staticDispatchModes is the equivalence matrix's dispatch axis.
-var staticDispatchModes = []DispatchMode{
-	DispatchInline, DispatchDeferred, DispatchVectorized, DispatchPhased,
-}
-
 // TestStaticFindingsIdenticalOnParsec is the tentpole soundness contract:
 // for every PARSEC model, a run with the static privacy pre-pass on
-// reports exactly the findings of the same run with it off — and on the
-// first model, across every dispatch mode. The matrix is non-vacuous:
-// at least one cell must actually prune.
+// reports exactly the findings of the same run with it off. The matrix is
+// non-vacuous: at least one cell must actually prune.
 func TestStaticFindingsIdenticalOnParsec(t *testing.T) {
 	var pruned uint64
 	for _, bench := range parsec.All() {
@@ -52,52 +46,44 @@ func TestStaticFindingsIdenticalOnParsec(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		modes := staticDispatchModes
-		if bench.Name != parsec.All()[0].Name {
-			modes = modes[:1] // full dispatch axis on the first model only
+		cfg := DefaultConfig(ModeAikidoFastTrack)
+		dyn := runConfig(t, prog, cfg)
+		cfg.Static = true
+		st := runConfig(t, prog, cfg)
+		if st.StaticFallback != "" {
+			t.Fatalf("%s: unexpected fallback %q", bench.Name, st.StaticFallback)
 		}
-		for _, d := range modes {
-			cfg := DefaultConfig(ModeAikidoFastTrack)
-			dyn := runDispatch(t, prog, cfg, d)
-			cfg.Static = true
-			st := runDispatch(t, prog, cfg, d)
-			if st.StaticFallback != "" {
-				t.Fatalf("%s/%v: unexpected fallback %q", bench.Name, d, st.StaticFallback)
-			}
-			if st.Static == nil {
-				t.Fatalf("%s/%v: Static summary missing", bench.Name, d)
-			}
-			requireSameFindings(t, bench.Name+"/"+d.String(), dyn, st)
-			pruned += st.SD.PCsStaticallyPruned
+		if st.Static == nil {
+			t.Fatalf("%s: Static summary missing", bench.Name)
 		}
+		requireSameFindings(t, bench.Name, dyn, st)
+		pruned += st.SD.PCsStaticallyPruned
 	}
 	if pruned == 0 {
 		t.Error("no cell pruned a single PC — the equivalence matrix is vacuous")
 	}
 }
 
-// TestStaticVerifyCleanOnMatrix runs the tripwire verify mode over the
-// same matrix: every pruned PC carries a hard-fail assertion that it
-// never observes a Shared page, and none may fire on a sound pass.
+// TestStaticVerifyCleanOnMatrix runs the tripwire verify mode on the first
+// model: every pruned PC carries a hard-fail assertion that it never
+// observes a Shared page, and none may fire on a sound pass.
 func TestStaticVerifyCleanOnMatrix(t *testing.T) {
 	bench := parsec.All()[0].WithScale(0.25)
 	prog, err := workload.Build(bench.Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range staticDispatchModes {
-		cfg := DefaultConfig(ModeAikidoFastTrack)
-		cfg.StaticVerify = true
-		res := runDispatch(t, prog, cfg, d)
-		if res.StaticFallback != "" {
-			t.Fatalf("%v: unexpected fallback %q", d, res.StaticFallback)
-		}
-		if res.SD.PCsStaticallyPruned == 0 {
-			t.Fatalf("%v: verify run pruned nothing — the assertion is vacuous", d)
-		}
-		if res.SD.StaticTripwires != 0 {
-			t.Errorf("%v: %d tripwires on a sound pass", d, res.SD.StaticTripwires)
-		}
+	cfg := DefaultConfig(ModeAikidoFastTrack)
+	cfg.StaticVerify = true
+	res := runConfig(t, prog, cfg)
+	if res.StaticFallback != "" {
+		t.Fatalf("unexpected fallback %q", res.StaticFallback)
+	}
+	if res.SD.PCsStaticallyPruned == 0 {
+		t.Fatal("verify run pruned nothing — the assertion is vacuous")
+	}
+	if res.SD.StaticTripwires != 0 {
+		t.Errorf("%d tripwires on a sound pass", res.SD.StaticTripwires)
 	}
 }
 

@@ -95,7 +95,7 @@ func (o Options) epochPolicy() sharing.EpochPolicy { return sharing.DefaultEpoch
 func Epochs(o Options) ([]EpochRow, error) {
 	o = o.normalize()
 	suite := epochSuite(o)
-	base := o.analysisCell(core.ModeAikidoFastTrack)
+	base := core.DefaultConfig(core.ModeAikidoFastTrack)
 	base.Analyses = o.Analyses
 	epoch := base
 	epoch.Epoch = o.epochPolicy()

@@ -48,10 +48,10 @@ func MuxAmortization(o Options) ([]MuxRow, error) {
 		bb := o.apply(b)
 		for _, name := range muxAmortizationSet {
 			specs = append(specs, cell(bb, name,
-				o.analysisCell(core.ModeAikidoFastTrack).WithAnalyses(name)))
+				core.DefaultConfig(core.ModeAikidoFastTrack).WithAnalyses(name)))
 		}
 		specs = append(specs, cell(bb, "mux",
-			o.analysisCell(core.ModeAikidoFastTrack).WithAnalyses(muxAmortizationSet...)))
+			core.DefaultConfig(core.ModeAikidoFastTrack).WithAnalyses(muxAmortizationSet...)))
 	}
 	cells, err := o.sweep(specs)
 	if err != nil {

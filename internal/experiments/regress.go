@@ -19,15 +19,6 @@ import (
 //     vs one multiplexed pass (BENCH_3.json);
 //   - aikido-epoch-bench/v1: geomean_cycle_speedup_x — terminal-Shared
 //     baseline vs epoch demotion (BENCH_4.json);
-//   - aikido-deferred-bench/v1: geomean_cycle_speedup_x — per-access
-//     inline dispatch vs batched deferred dispatch under the
-//     transition-cost model (BENCH_5.json);
-//   - aikido-vector-bench/v1: geomean_cycle_speedup_x — scalar deferred
-//     record replay vs vectorized batch kernels under the same model
-//     (BENCH_7.json);
-//   - aikido-phase-bench/v1: geomean_cycle_speedup_x — inline dispatch vs
-//     Doppel-style split-phase hot-page banking under the same model
-//     (BENCH_9.json);
 //   - aikido-static-bench/v1: geomean_cycle_speedup_x — pure dynamic
 //     classification vs the static privacy pre-pass under the default
 //     cost model (BENCH_10.json).
@@ -79,8 +70,7 @@ func ReadSnapshot(path string) (Snapshot, error) {
 				path, f.GeomeanFastTrack, f.GeomeanAikido)
 		}
 		s.Speedup = f.GeomeanFastTrack / f.GeomeanAikido
-	case "aikido-mux-bench/v1", "aikido-epoch-bench/v1", "aikido-deferred-bench/v1",
-		"aikido-vector-bench/v1", "aikido-phase-bench/v1", "aikido-static-bench/v1":
+	case "aikido-mux-bench/v1", "aikido-epoch-bench/v1", "aikido-static-bench/v1":
 		s.Speedup = f.GeomeanSpeedup
 	default:
 		return Snapshot{}, fmt.Errorf("regress: %s: unknown schema %q", path, f.Schema)

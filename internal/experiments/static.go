@@ -126,6 +126,14 @@ func StaticAmortization(o Options) ([]StaticRow, error) {
 	return rows, nil
 }
 
+// amortUnit is one row of the static amortization matrix: a named
+// workload that can mint runner cells for any config — either a PARSEC
+// benchmark model or a generated workload source.
+type amortUnit struct {
+	name string
+	spec func(label string, cfg core.Config) runner.Spec
+}
+
 // staticUnits is the BENCH_10 workload set: every PARSEC model plus the
 // startup-dominated private suite.
 func (o Options) staticUnits() []amortUnit {

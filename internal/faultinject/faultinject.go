@@ -24,17 +24,8 @@
 //	guest    — the engine's per-quantum check. Errors abort the run with
 //	           this package's typed Fault; panics unwind to the runner's
 //	           containment.
-//	drain    — the deferred dispatch pipeline's ring drain. Errors
-//	           degrade the pipeline to inline delivery for the rest of
-//	           the run; panics unwind to containment.
 //	analysis — every analysis-bound access event (the outermost dispatch
 //	           wrapper).
-//	reconcile — the phased dispatch pipeline's split-phase reconciliation
-//	           merge (fires only when banked deltas are pending). Errors
-//	           degrade: the already-merged batch replays inline in seq
-//	           order and the run latches inline delivery — no banked
-//	           record is lost or duplicated; panics unwind to
-//	           containment.
 //	static   — once before the static privacy pre-pass runs. Errors and
 //	           panics both degrade the run to the unpruned dynamic-only
 //	           path (no summary applied, nothing pre-seeded); findings
@@ -60,14 +51,8 @@ const (
 	SeamProvider Seam = iota
 	// SeamGuest fires once per engine scheduling quantum.
 	SeamGuest
-	// SeamDrain fires once per deferred-dispatch ring drain.
-	SeamDrain
 	// SeamAnalysis fires once per analysis-bound access event.
 	SeamAnalysis
-	// SeamReconcile fires once per phased-dispatch reconciliation merge —
-	// the split-phase boundary where banked per-thread deltas k-way-merge
-	// back into canonical order — and only when deltas are pending.
-	SeamReconcile
 	// SeamStatic fires once before the static privacy pre-pass runs.
 	// Errors (and recovered panics) degrade the run to the unpruned
 	// dynamic-only path: no summary is applied, nothing is pre-seeded.
@@ -83,12 +68,8 @@ func (s Seam) String() string {
 		return "provider"
 	case SeamGuest:
 		return "guest"
-	case SeamDrain:
-		return "drain"
 	case SeamAnalysis:
 		return "analysis"
-	case SeamReconcile:
-		return "reconcile"
 	case SeamStatic:
 		return "static"
 	}
@@ -102,16 +83,12 @@ func ParseSeam(s string) (Seam, error) {
 		return SeamProvider, nil
 	case "guest":
 		return SeamGuest, nil
-	case "drain":
-		return SeamDrain, nil
 	case "analysis":
 		return SeamAnalysis, nil
-	case "reconcile":
-		return SeamReconcile, nil
 	case "static":
 		return SeamStatic, nil
 	}
-	return 0, fmt.Errorf("faultinject: unknown seam %q (want provider, guest, drain, analysis, reconcile or static)", s)
+	return 0, fmt.Errorf("faultinject: unknown seam %q (want provider, guest, analysis or static)", s)
 }
 
 // Kind is the manifestation of an injected fault.
@@ -215,9 +192,8 @@ func splitmix64(x uint64) uint64 {
 //
 //	[seed=N;]KIND:SEAM[@COUNT][;KIND:SEAM[@COUNT]...]
 //
-// KIND is panic, error or stall; SEAM is provider, guest, drain,
-// analysis, reconcile or static; COUNT is the 1-based seam crossing to
-// fire on. A rule with no @COUNT gets a deterministic count derived from the seed and the
+// KIND is panic, error or stall; SEAM is provider, guest, analysis or
+// static; COUNT is the 1-based seam crossing to fire on. A rule with no @COUNT gets a deterministic count derived from the seed and the
 // rule's position via splitmix64, so "seed=7;panic:analysis" names one
 // exact fault without spelling the crossing. The empty string is the
 // empty plan (nil, nil): no injection, byte-identical behaviour.

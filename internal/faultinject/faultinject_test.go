@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -21,7 +22,7 @@ func TestParsePlanEmpty(t *testing.T) {
 }
 
 func TestParsePlanExplicit(t *testing.T) {
-	p, err := ParsePlan("seed=7;error:drain@2;panic:analysis@100;stall:guest@3")
+	p, err := ParsePlan("seed=7;error:provider@2;panic:analysis@100;stall:guest@3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +30,7 @@ func TestParsePlanExplicit(t *testing.T) {
 		t.Fatalf("plan = %+v", p)
 	}
 	want := []Rule{
-		{Seam: SeamDrain, Kind: KindError, Count: 2},
+		{Seam: SeamProvider, Kind: KindError, Count: 2},
 		{Seam: SeamAnalysis, Kind: KindPanic, Count: 100},
 		{Seam: SeamGuest, Kind: KindStall, Count: 3},
 	}
@@ -92,6 +93,12 @@ func TestParsePlanErrors(t *testing.T) {
 			t.Errorf("ParsePlan(%q) succeeded, want error", s)
 		}
 	}
+	// The drain and reconcile seams left with the batched dispatch modes.
+	for _, s := range []string{"error:drain@1", "panic:reconcile@1"} {
+		if _, err := ParsePlan(s); err == nil || !strings.Contains(err.Error(), "unknown seam") {
+			t.Errorf("ParsePlan(%q) = %v, want an unknown-seam error", s, err)
+		}
+	}
 }
 
 // TestFireError: an error rule returns a typed *Fault exactly once, at
@@ -125,7 +132,7 @@ func TestFireError(t *testing.T) {
 
 // TestFirePanic: a panic rule panics with a typed *Fault.
 func TestFirePanic(t *testing.T) {
-	p, err := ParsePlan("panic:drain@1")
+	p, err := ParsePlan("panic:static@1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,15 +144,15 @@ func TestFirePanic(t *testing.T) {
 			if !ok {
 				t.Fatalf("recovered %v (%T), want *Fault", r, r)
 			}
-			if f.Seam != SeamDrain || f.Kind != KindPanic || f.Count != 1 {
+			if f.Seam != SeamStatic || f.Kind != KindPanic || f.Count != 1 {
 				t.Errorf("fault = %+v", f)
 			}
 		}()
-		in.Fire(SeamDrain)
+		in.Fire(SeamStatic)
 		t.Fatal("Fire did not panic")
 	}()
 	// One-shot: the next crossing is clean.
-	if err := in.Fire(SeamDrain); err != nil {
+	if err := in.Fire(SeamStatic); err != nil {
 		t.Errorf("second crossing: %v", err)
 	}
 }
@@ -176,19 +183,19 @@ func TestFireStall(t *testing.T) {
 // TestFireSeamsIndependent: counters are per seam; a rule on one seam
 // never observes crossings of another.
 func TestFireSeamsIndependent(t *testing.T) {
-	p, err := ParsePlan("error:guest@1;error:drain@2")
+	p, err := ParsePlan("error:guest@1;error:provider@2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	in := p.NewInjector(nil)
-	if err := in.Fire(SeamDrain); err != nil {
-		t.Errorf("drain crossing 1 fired guest rule: %v", err)
+	if err := in.Fire(SeamProvider); err != nil {
+		t.Errorf("provider crossing 1 fired guest rule: %v", err)
 	}
 	if err := in.Fire(SeamGuest); err == nil {
 		t.Error("guest crossing 1 did not fire")
 	}
-	if err := in.Fire(SeamDrain); err == nil {
-		t.Error("drain crossing 2 did not fire")
+	if err := in.Fire(SeamProvider); err == nil {
+		t.Error("provider crossing 2 did not fire")
 	}
 }
 

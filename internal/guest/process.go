@@ -321,19 +321,6 @@ func (p *Process) AddVMAListener(l VMAListener) {
 	}
 }
 
-// AddVMAListenerFront registers an address-space observer ahead of every
-// already-registered listener. Listeners are notified in registration
-// order, so a front listener observes each VMA change before components
-// registered earlier react to it — the deferred dispatch pipeline uses
-// this to drain banked accesses before Umbra or an analysis mutates any
-// per-range state the replay depends on.
-func (p *Process) AddVMAListenerFront(l VMAListener) {
-	p.listeners = append([]VMAListener{l}, p.listeners...)
-	for _, v := range p.vmas {
-		l.VMAAdded(v)
-	}
-}
-
 // addVMA allocates backing frames, maps them and notifies listeners.
 func (p *Process) addVMA(base uint64, pages int, prot pagetable.Prot, kind VMAKind, name string) *VMA {
 	return p.addOwnedVMA(base, pages, prot, kind, name, NoTID)

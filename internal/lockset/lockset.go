@@ -117,10 +117,6 @@ type Detector struct {
 	MaxWarnings int
 	liveThreads int
 
-	// vec describes the vectorized batch kernel (see batch.go); kept out
-	// of Counters so findings stay byte-identical across dispatch modes.
-	vec vecStats
-
 	C Counters
 }
 

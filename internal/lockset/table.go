@@ -5,9 +5,8 @@
 // per-event work is a table probe rather than set arithmetic (Savage et
 // al., TOCS'97). The table here does the same: every lockset a
 // detector ever names is interned once, so equal sets are the same
-// pointer and the same dense index — the batch kernel's
-// `vs.cv == heldBy(t).idx` identity test and meet's `a == b` shortcut
-// rely on that — and the three operations the detector performs on sets
+// pointer and the same dense index — meet's `a == b` shortcut relies on
+// that — and the three operations the detector performs on sets
 // are memoized per set:
 //
 //   - acquire: (set, lock) → set ∪ {lock}, cached on the source set;

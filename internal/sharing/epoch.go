@@ -123,27 +123,17 @@ func (d *Detector) noteShared(vpn uint64, pi *pageInfo) {
 	}
 	pi.epochTID = guest.NoTID
 	pi.epochHits, pi.epochOther = 0, 0
-	pi.epochWTID = guest.NoTID
-	pi.epochWOther = 0
 	pi.domTID = guest.NoTID
 	pi.domEpochs, pi.quietEpochs = 0, 0
-	if pi.split {
-		// Unreachable in practice (demote clears split), but a re-shared
-		// page must always start joined.
-		d.clearSplit(pi)
-	}
-	pi.hotEpochs, pi.calmEpochs = 0, 0
 	pi.graceEpoch = true
 	d.epochPages = append(d.epochPages, epochPage{vpn: vpn, pi: pi})
 }
 
 // noteSharedAccess feeds one instrumented access into the page's epoch
 // accounting: the first toucher of the epoch is the dominance candidate,
-// and everyone else's accesses veto demotion. With phases enabled it
-// also keeps the writer-side tally (first writer vs everyone else's
-// writes) the hot-page classifier thresholds against. Free in simulated
-// cycles (bookkeeping only) and allocation-free.
-func (d *Detector) noteSharedAccess(tid guest.TID, pi *pageInfo, write bool) {
+// and everyone else's accesses veto demotion. Free in simulated cycles
+// (bookkeeping only) and allocation-free.
+func (d *Detector) noteSharedAccess(tid guest.TID, pi *pageInfo) {
 	if pi.epochHits == 0 && pi.epochOther == 0 {
 		pi.epochTID = tid
 	}
@@ -151,13 +141,6 @@ func (d *Detector) noteSharedAccess(tid guest.TID, pi *pageInfo, write bool) {
 		pi.epochHits++
 	} else {
 		pi.epochOther++
-	}
-	if d.phaseOn && write {
-		if pi.epochWTID == guest.NoTID {
-			pi.epochWTID = tid
-		} else if tid != pi.epochWTID {
-			pi.epochWOther++
-		}
 	}
 }
 
@@ -186,25 +169,13 @@ func (d *Detector) EpochSweep() {
 		}
 		if pi.graceEpoch {
 			// The page turned Shared during this epoch: give it one
-			// full epoch of accounting before any demotion or phase
-			// verdict.
+			// full epoch of accounting before any demotion verdict.
 			pi.graceEpoch = false
 			pi.epochTID = guest.NoTID
 			pi.epochHits, pi.epochOther = 0, 0
-			pi.epochWTID = guest.NoTID
-			pi.epochWOther = 0
 			d.epochPages[w] = e
 			w++
 			continue
-		}
-		if d.phaseOn {
-			// Phase classification reads the same per-epoch counters the
-			// demotion switch below does, and must run before they reset.
-			// Order matters for the hot case: a many-writer epoch has
-			// epochOther > 0, so the demotion switch resets the dominance
-			// streak — hot pages can never demote out from under the
-			// split phase.
-			d.classifyPhase(pi)
 		}
 		switch {
 		case pi.epochOther == 0 && pi.epochHits >= d.epoch.MinOwnerHits:
@@ -226,8 +197,6 @@ func (d *Detector) EpochSweep() {
 		}
 		pi.epochTID = guest.NoTID
 		pi.epochHits, pi.epochOther = 0, 0
-		pi.epochWTID = guest.NoTID
-		pi.epochWOther = 0
 
 		if d.epoch.DemoteAfter > 0 && pi.domEpochs >= d.epoch.DemoteAfter {
 			demoted = d.demote(e.vpn, pi, Private, pi.domTID) || demoted
@@ -276,13 +245,6 @@ func (d *Detector) demote(vpn uint64, pi *pageInfo, to PageState, owner guest.TI
 	pi.State = to
 	pi.Owner = owner
 	pi.domEpochs, pi.quietEpochs = 0, 0
-	if pi.split {
-		// Quiet demotion of a split page (calm long enough to both join
-		// and quiesce): the page leaves the split phase with its epoch
-		// entry. Banked records were reconciled before this sweep ran.
-		d.clearSplit(pi)
-	}
-	pi.hotEpochs, pi.calmEpochs = 0, 0
 	pi.wasDemoted = true
 	d.C.PagesShared--
 	if to == Private {
@@ -344,11 +306,6 @@ func (d *Detector) dropEpochRange(vpnBase uint64, pages int) {
 	w := 0
 	for _, e := range d.epochPages {
 		if e.vpn >= vpnBase && e.vpn < end {
-			if e.pi.split {
-				// Unmapped mid-split: the banked records were reconciled
-				// by the VMA-change drain before this listener ran.
-				d.clearSplit(e.pi)
-			}
 			continue
 		}
 		d.epochPages[w] = e

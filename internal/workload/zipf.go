@@ -17,10 +17,8 @@ import (
 // pages, and larger exponents concentrate them onto the first few ranks —
 // at 1.2, roughly half of all accesses land on the hottest page.
 //
-// The skew exists to stress page-keyed machinery: vectorized dispatch's
-// group cutting (hot pages produce long runs) and phased dispatch's
-// hot-page classification, where a page written by many threads every
-// epoch splits.
+// The skew exists to stress page-keyed machinery: at high skew the hot
+// pages are written by many threads every epoch and never demote.
 type ZipfSpec struct {
 	// Name labels the generated program.
 	Name string
