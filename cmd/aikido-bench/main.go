@@ -7,10 +7,10 @@
 // Usage:
 //
 //	aikido-bench [-experiment all|fig5|fig6|table1|table2|ablation|paging|
-//	              switch|providers|detectors|muxbench|epochs|static|
+//	              switch|providers|detectors|muxbench|epochs|
 //	              scaling|nondet|stm|crew]
 //	             [-scale F] [-threads N] [-workers N] [-json FILE]
-//	             [-muxjson FILE] [-epochjson FILE] [-staticjson FILE]
+//	             [-muxjson FILE] [-epochjson FILE]
 //	             [-epoch] [-analysis NAME[,NAME...]] [-deterministic]
 //	aikido-bench -experiment chaos [-chaos PLAN] [-scale F] [-workers N]
 //	aikido-bench -compare OLD.json,NEW.json [-max-regress-pct P]
@@ -44,17 +44,6 @@
 // models. The epochs experiment (and -epochjson, the BENCH_4.json source)
 // measures the demotion win on the phased/migratory workload suite, where
 // it does fire.
-//
-// The static experiment (and -staticjson, the BENCH_10.json source)
-// measures the static privacy pre-pass (internal/staticanalysis): the
-// same Aikido FastTrack cell with pure dynamic classification vs the
-// pre-pass pruning provably-private PCs and pre-seeding single-owner
-// pages, over every PARSEC model (the guard rail) plus a
-// startup-dominated private suite (the headline — the win amortizes over
-// thread creation and first touches, not steady-state iterations). The
-// experiment doubles as CI's static equivalence leg: it exits nonzero if
-// any row's findings diverge between the two cells, a soundness tripwire
-// fires, or the pass unexpectedly falls back.
 //
 // -experiment chaos is the fault-isolation acceptance harness and is NOT
 // part of "all": it runs the chaos matrix (every Figure-5 model×mode cell
@@ -187,28 +176,6 @@ var textExperiments = []experiment{
 		experiments.WriteEpochs(w, rows)
 		return nil
 	}},
-	{"static", func(o experiments.Options, w io.Writer) error {
-		rows, err := experiments.StaticAmortization(o)
-		if err != nil {
-			return err
-		}
-		experiments.WriteStaticAmortization(w, rows)
-		// The static experiment doubles as the CI equivalence leg: any
-		// findings divergence, tripwire or unexpected fallback is a
-		// soundness failure, not a performance result.
-		for _, r := range rows {
-			if !r.FindingsIdentical {
-				return fmt.Errorf("%s: findings diverge between dynamic and static cells", r.Name)
-			}
-			if r.Tripwires > 0 {
-				return fmt.Errorf("%s: %d soundness tripwires fired", r.Name, r.Tripwires)
-			}
-			if r.Fallback != "" {
-				return fmt.Errorf("%s: static pass fell back: %s", r.Name, r.Fallback)
-			}
-		}
-		return nil
-	}},
 	{"scaling", func(o experiments.Options, w io.Writer) error {
 		pts, err := experiments.ExtensionScaling(o)
 		if err != nil {
@@ -270,11 +237,10 @@ func main() {
 	jsonOut := flag.String("json", "", "write a machine-readable bench report to this file (\"-\" = stdout) instead of running text experiments")
 	muxOut := flag.String("muxjson", "", "write the mux-amortization report (BENCH_3.json snapshots) to this file (\"-\" = stdout)")
 	epochOut := flag.String("epochjson", "", "write the epoch re-privatization report (BENCH_4.json snapshots) to this file (\"-\" = stdout)")
-	staticOut := flag.String("staticjson", "", "write the static privacy pre-pass report (BENCH_10.json snapshots) to this file (\"-\" = stdout)")
 	epoch := flag.Bool("epoch", false, "enable epoch-based re-privatization in every Aikido cell (CI diffs this against the baseline)")
 	det := flag.Bool("deterministic", false, "zero wall_ns in machine-readable reports so output bytes depend only on simulated metrics")
 	analyses := flag.String("analysis", "", "comma-separated analyses for every analysis-bearing cell (registry names; empty = default FastTrack)")
-	chaosPlan := flag.String("chaos", "", "with -experiment chaos: the fault-injection plan [seed=N;]KIND:SEAM[@COUNT];... (empty = idle-overhead identity check)")
+	chaosPlan := flag.String("chaos", "", "with -experiment chaos: the fault-injection plan [seed=N;]KIND:SEAM[@COUNT];... (kinds panic|error|stall, seams provider|guest|analysis; empty = idle-overhead identity check)")
 	compare := flag.String("compare", "", "OLD.json,NEW.json: compare two BENCH snapshots of one schema and fail on regression (CI gate)")
 	maxRegress := flag.Float64("max-regress-pct", 5, "with -compare, the allowed geomean-cycle-speedup regression in percent")
 	flag.Parse()
@@ -335,9 +301,9 @@ func main() {
 		return f
 	}
 
-	// -json, -muxjson, -epochjson and -staticjson each replace the text
-	// experiments; given together, every requested report is produced.
-	if *jsonOut != "" || *muxOut != "" || *epochOut != "" || *staticOut != "" {
+	// -json, -muxjson and -epochjson each replace the text experiments;
+	// given together, every requested report is produced.
+	if *jsonOut != "" || *muxOut != "" || *epochOut != "" {
 		if *jsonOut != "" {
 			rep, err := experiments.BenchJSON(o)
 			if err != nil {
@@ -379,21 +345,6 @@ func main() {
 				defer out.Close()
 			}
 			if err := experiments.WriteEpochJSON(out, rep); err != nil {
-				fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		if *staticOut != "" {
-			rep, err := experiments.StaticJSON(o)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "aikido-bench: staticjson: %v\n", err)
-				os.Exit(1)
-			}
-			out := openOut(*staticOut)
-			if out != os.Stdout {
-				defer out.Close()
-			}
-			if err := experiments.WriteStaticJSON(out, rep); err != nil {
 				fmt.Fprintf(os.Stderr, "aikido-bench: %v\n", err)
 				os.Exit(1)
 			}

@@ -6,7 +6,6 @@
 //
 //	aikido-run [-bench NAME|all] [-mode native|dbi|fasttrack|aikido|profile]
 //	           [-analysis NAME[,NAME...]] [-max-findings N] [-epoch]
-//	           [-static] [-static-verify]
 //	           [-provider aikidovm|dos|dthreads] [-paging shadow|nested]
 //	           [-switch hypercall|segtrap|probe]
 //	           [-threads N] [-scale F] [-workers N] [-findings] [-list]
@@ -28,29 +27,14 @@
 // their instructions return to native speed; the epoch statistics lines
 // report the demotion traffic.
 //
-// -static enables the static privacy pre-pass in the Aikido modes
-// (internal/staticanalysis): before first execution, a CFG + abstract
-// interpretation over the guest program prunes instrumentation of PCs
-// proven to touch only thread-private memory and pre-seeds statically
-// single-owner pages as Private(owner). Findings are byte-identical to
-// the pass being off — page protections stay armed as the safety net —
-// and the static-stats report line shows what the pass delivered.
-// -static-verify implies -static and instruments every pruned PC with a
-// tripwire assertion that hard-fails the run if a "private" access ever
-// observes a Shared page (for equivalence suites, not benchmarks).
-// Selecting a retire-observer analysis (taint) forces the unpruned
-// dynamic-only path: those analyses watch every retired instruction, so
-// nothing may be pruned from their stream; the run reports the fallback.
-//
 // -list-analyses prints the registry catalog: canonical names, the short
 // aliases that resolve to them, and the wrapper combinator in composed
-// form ("sampled:<name>"). Note that selecting "taint" (a retire
-// observer) forces -static's unpruned fallback path.
+// form ("sampled:<name>").
 //
 // Fault isolation (see internal/faultinject and ARCHITECTURE.md):
 // -chaos injects a deterministic fault plan ("seed=N;KIND:SEAM[@COUNT];…"
-// with kinds panic|error|stall and seams provider|guest|analysis|static)
-// into every cell;
+// with kinds panic|error|stall and seams provider|guest|analysis) into
+// every cell;
 // -max-cycles and -cell-deadline bound each cell's simulated-cycle and
 // wall-clock consumption with typed budget errors;
 // -keep-going records failing cells in the report and finishes the rest
@@ -101,8 +85,6 @@ func run(args []string) int {
 	analyses := fs.String("analysis", "fasttrack", "comma-separated analyses to multiplex onto one pass (see -list-analyses)")
 	maxFindings := fs.Int("max-findings", 0, "cap stored findings for the whole run, divided across the selected analyses (0 = each detector's default)")
 	epoch := fs.Bool("epoch", false, "enable epoch-based re-privatization of Shared pages (Aikido modes)")
-	static := fs.Bool("static", false, "enable the static privacy pre-pass: prune instrumentation of provably-private PCs and pre-seed single-owner pages (Aikido modes; findings identical to off)")
-	staticVerify := fs.Bool("static-verify", false, "implies -static; add a tripwire assertion to every pruned PC that hard-fails if its proof is refuted at runtime")
 	prov := fs.String("provider", "aikidovm", "per-thread protection provider: aikidovm, dos, dthreads (§7.1)")
 	paging := fs.String("paging", "shadow", "AikidoVM paging mode: shadow, nested (§3.2.2)")
 	swi := fs.String("switch", "hypercall", "context-switch interception: hypercall, segtrap, probe (§3.2.3)")
@@ -113,7 +95,7 @@ func run(args []string) int {
 	races := fs.Bool("races", false, "alias for -findings")
 	list := fs.Bool("list", false, "list benchmarks and exit")
 	listAn := fs.Bool("list-analyses", false, "list registered analyses and exit")
-	chaos := fs.String("chaos", "", "fault-injection plan: [seed=N;]KIND:SEAM[@COUNT];... (kinds panic|error|stall, seams provider|guest|analysis|static)")
+	chaos := fs.String("chaos", "", "fault-injection plan: [seed=N;]KIND:SEAM[@COUNT];... (kinds panic|error|stall, seams provider|guest|analysis)")
 	maxCycles := fs.Uint64("max-cycles", 0, "per-cell simulated-cycle budget (0 = unlimited); overrun is a typed cell error")
 	cellDeadline := fs.Duration("cell-deadline", 0, "per-cell wall-clock budget (0 = unlimited); overrun is a typed cell error")
 	keepGoing := fs.Bool("keep-going", false, "record failing cells and finish the sweep instead of aborting on the first error")
@@ -196,8 +178,6 @@ func run(args []string) int {
 	if *epoch {
 		cfg.Epoch = sharing.DefaultEpochPolicy()
 	}
-	cfg.Static = *static
-	cfg.StaticVerify = *staticVerify
 
 	size := func(b parsec.Benchmark) parsec.Benchmark {
 		b = b.WithScale(*scale)
@@ -240,23 +220,6 @@ func run(args []string) int {
 		t := rep.Totals
 		fmt.Printf("%-15s %14d %14d %14d %14d %9s %9d\n",
 			"total", t.Cycles, t.Instructions, t.MemRefs, t.InstrumentedExecs, "", total)
-		if *static || *staticVerify {
-			var pruned, seeded, trips uint64
-			for _, c := range rep.Cells {
-				if c.Res == nil {
-					continue
-				}
-				if c.Res.StaticFallback != "" {
-					fmt.Printf("static fallback  %s: %s\n", c.Spec.Label, c.Res.StaticFallback)
-					continue
-				}
-				pruned += c.Res.SD.PCsStaticallyPruned
-				seeded += c.Res.SD.PagesPreSeeded
-				trips += c.Res.SD.StaticTripwires
-			}
-			fmt.Printf("static stats     %d PCs pruned (%d pages pre-seeded, %d tripwires) across cells\n",
-				pruned, seeded, trips)
-		}
 		if printFindings {
 			for _, c := range rep.Cells {
 				if c.Res == nil {
@@ -312,14 +275,6 @@ func run(args []string) int {
 		fmt.Printf("instrumented PCs %d\n", res.SD.InstrumentedPCs)
 		if res.SD.RearmFailures > 0 {
 			fmt.Printf("rearm failures   %d (affected pages stay instrumented)\n", res.SD.RearmFailures)
-		}
-		if *static || *staticVerify {
-			if res.StaticFallback != "" {
-				fmt.Printf("static fallback  %s\n", res.StaticFallback)
-			} else {
-				fmt.Printf("static stats     %d PCs pruned (%d pages pre-seeded, %d tripwires)\n",
-					res.SD.PCsStaticallyPruned, res.SD.PagesPreSeeded, res.SD.StaticTripwires)
-			}
 		}
 		if *epoch {
 			fmt.Printf("epoch sweeps     %d (%d ticks)\n", res.SD.EpochSweeps, res.EpochTicks)

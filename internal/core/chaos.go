@@ -14,7 +14,6 @@ package core
 //	           (epoch demotion disabled for that page, run continues).
 //	analysis — chaosAnalysis, the wrapper over the analysis mux; an
 //	           empty plan leaves every byte-identity contract intact.
-//	static   — applyStatic, once before the static privacy pre-pass.
 
 import (
 	"fmt"

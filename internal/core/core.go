@@ -43,7 +43,6 @@ import (
 	"repro/internal/pagetable"
 	"repro/internal/provider"
 	"repro/internal/sharing"
-	"repro/internal/staticanalysis"
 	"repro/internal/stats"
 	"repro/internal/umbra"
 	"repro/internal/vm"
@@ -148,24 +147,6 @@ type Config struct {
 	// sharing.DefaultEpochPolicy.
 	Epoch sharing.EpochPolicy
 
-	// Static enables the static privacy pre-pass in the Aikido modes:
-	// before the engine runs, internal/staticanalysis abstractly
-	// interprets the guest program, and every PC it proves can only touch
-	// thread-private memory is pruned from instrumentation while
-	// statically single-owner pages are pre-seeded Private(owner). Page
-	// protections stay armed as the safety net, so findings are
-	// byte-identical with the pass off. A pass that degrades, errors or
-	// panics falls back to the unpruned dynamic-only path (see
-	// Result.StaticFallback). Ignored outside the Aikido modes.
-	Static bool
-	// StaticVerify is the soundness tripwire mode: it implies Static and
-	// additionally instruments every pruned PC with an assertion that the
-	// access never observes a Shared page, hard-failing the run with a
-	// *sharing.StaticTripwireError panic if one does. For equivalence
-	// suites, not benchmarks — the assertion charges no cycles but does
-	// defeat the pruning win.
-	StaticVerify bool
-
 	// MaxCycles caps the run's simulated cycles: a run whose clock
 	// exceeds it at a scheduling-quantum boundary aborts with a typed
 	// *BudgetError. The check sits on the engine's existing quantum seam
@@ -225,12 +206,6 @@ type System struct {
 	// wallStart the MaxWall anchor, stamped when Run starts executing.
 	inj       *faultinject.Injector
 	wallStart time.Time
-
-	// static is the applied privacy summary (nil when the pass is off or
-	// fell back) and staticFallback the reason the run degraded to the
-	// unpruned dynamic-only path ("" when the pass applied or was off).
-	static         *staticanalysis.Summary
-	staticFallback string
 }
 
 // Analysis returns the active analysis registered under the (canonical)
@@ -343,9 +318,6 @@ func NewSystem(prog *isa.Program, cfg Config) (*System, error) {
 		s.SD.SetEngine(s.Engine)
 		s.Engine.OnFault = s.SD.HandleFault
 		s.Engine.RuntimeTouch = s.SD.TouchCode
-		if cfg.Static || cfg.StaticVerify {
-			s.applyStatic(cfg.StaticVerify)
-		}
 		if cfg.Epoch.Enabled() {
 			s.SD.EnableEpochs(cfg.Epoch)
 			s.Epochs = newEpochClock(clock, cfg.Epoch.Interval, s.SD.EpochSweep)
@@ -359,42 +331,6 @@ func NewSystem(prog *isa.Program, cfg Config) (*System, error) {
 	s.wireHooks()
 	s.armQuantumCheck()
 	return s, nil
-}
-
-// applyStatic runs the static privacy pre-pass and applies its summary to
-// the sharing detector. It never fails the run: every rung of the
-// degradation ladder — a retire observer forcing the unpruned path, an
-// injected static-seam fault, an analysis error on the program, or a
-// panic inside the pass itself — records a fallback reason and leaves
-// the dynamic-only configuration untouched.
-func (s *System) applyStatic(verify bool) {
-	// Retire observers (the taint tracker's register-dataflow half) watch
-	// every retired instruction, including ones the pass would prune; a
-	// pruned PC would silently vanish from their stream. Selecting one
-	// forces the unpruned path.
-	for _, a := range s.Analyses {
-		if _, ok := asRetireObserver(a); ok {
-			s.staticFallback = "retire observer active (unpruned path)"
-			return
-		}
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			s.static = nil
-			s.staticFallback = fmt.Sprintf("static pass panic: %v", r)
-		}
-	}()
-	if err := s.inj.Fire(faultinject.SeamStatic); err != nil {
-		s.staticFallback = fmt.Sprintf("static seam fault: %v", err)
-		return
-	}
-	sum, err := staticanalysis.Analyze(s.Process.Prog)
-	if err != nil {
-		s.staticFallback = fmt.Sprintf("static pass error: %v", err)
-		return
-	}
-	s.SD.ApplyStaticSummary(sum, verify)
-	s.static = sum
 }
 
 // retireObserver is the optional surface an analysis implements to watch
@@ -589,13 +525,11 @@ type Result struct {
 	// SD.EpochSweeps / SD.PagesDemoted* / SD.PagesReshared).
 	EpochTicks uint64
 
-	// Static is the applied privacy summary (nil when Config.Static was
-	// off or the pass fell back) and StaticFallback the degradation
-	// reason when it did; runtime refutation counts live in
-	// SD.StaticTripwires and the pruning/pre-seed totals in
-	// SD.PCsStaticallyPruned / SD.PagesPreSeeded.
-	Static         *staticanalysis.Summary
-	StaticFallback string
+	// Static is always nil. It outlives the static privacy pre-pass only
+	// because perfbench/cells.go still clears it, and perfbench stays
+	// unchanged so that benchmark runs before and after the removal
+	// measure the same harness. Drop it the next time perfbench changes.
+	Static any
 }
 
 // Run executes the assembled system to completion.
@@ -629,8 +563,6 @@ func (s *System) Run() (*Result, error) {
 	if s.SD != nil {
 		r.SD = s.SD.C
 	}
-	r.Static = s.static
-	r.StaticFallback = s.staticFallback
 	if s.Epochs != nil {
 		r.EpochTicks = s.Epochs.Ticks
 	}

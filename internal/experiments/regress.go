@@ -18,10 +18,7 @@ import (
 //   - aikido-mux-bench/v1: geomean_cycle_speedup_x — N sequential passes
 //     vs one multiplexed pass (BENCH_3.json);
 //   - aikido-epoch-bench/v1: geomean_cycle_speedup_x — terminal-Shared
-//     baseline vs epoch demotion (BENCH_4.json);
-//   - aikido-static-bench/v1: geomean_cycle_speedup_x — pure dynamic
-//     classification vs the static privacy pre-pass under the default
-//     cost model (BENCH_10.json).
+//     baseline vs epoch demotion (BENCH_4.json).
 type Snapshot struct {
 	Path    string
 	Schema  string
@@ -70,7 +67,7 @@ func ReadSnapshot(path string) (Snapshot, error) {
 				path, f.GeomeanFastTrack, f.GeomeanAikido)
 		}
 		s.Speedup = f.GeomeanFastTrack / f.GeomeanAikido
-	case "aikido-mux-bench/v1", "aikido-epoch-bench/v1", "aikido-static-bench/v1":
+	case "aikido-mux-bench/v1", "aikido-epoch-bench/v1":
 		s.Speedup = f.GeomeanSpeedup
 	default:
 		return Snapshot{}, fmt.Errorf("regress: %s: unknown schema %q", path, f.Schema)

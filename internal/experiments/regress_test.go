@@ -96,7 +96,7 @@ func TestCompareGateErrorPaths(t *testing.T) {
 
 	// The snapshots of retired features stay in the tree as history; the
 	// gate no longer reads their schemas.
-	for _, name := range []string{"BENCH_5.json", "BENCH_7.json", "BENCH_8.json", "BENCH_9.json"} {
+	for _, name := range []string{"BENCH_5.json", "BENCH_7.json", "BENCH_8.json", "BENCH_9.json", "BENCH_10.json"} {
 		_, err := ReadSnapshot(filepath.Join("..", "..", name))
 		if err == nil || !strings.Contains(err.Error(), "unknown schema") {
 			t.Errorf("%s: ReadSnapshot = %v, want an unknown-schema error", name, err)

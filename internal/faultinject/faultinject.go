@@ -26,10 +26,6 @@
 //	           containment.
 //	analysis — every analysis-bound access event (the outermost dispatch
 //	           wrapper).
-//	static   — once before the static privacy pre-pass runs. Errors and
-//	           panics both degrade the run to the unpruned dynamic-only
-//	           path (no summary applied, nothing pre-seeded); findings
-//	           are unaffected by construction.
 //
 // Seams without an error return (provider, analysis) escalate error-kind
 // faults to panics; the recovered value is still a typed *Fault, so the
@@ -53,10 +49,6 @@ const (
 	SeamGuest
 	// SeamAnalysis fires once per analysis-bound access event.
 	SeamAnalysis
-	// SeamStatic fires once before the static privacy pre-pass runs.
-	// Errors (and recovered panics) degrade the run to the unpruned
-	// dynamic-only path: no summary is applied, nothing is pre-seeded.
-	SeamStatic
 
 	numSeams
 )
@@ -70,8 +62,6 @@ func (s Seam) String() string {
 		return "guest"
 	case SeamAnalysis:
 		return "analysis"
-	case SeamStatic:
-		return "static"
 	}
 	return "seam?"
 }
@@ -85,10 +75,8 @@ func ParseSeam(s string) (Seam, error) {
 		return SeamGuest, nil
 	case "analysis":
 		return SeamAnalysis, nil
-	case "static":
-		return SeamStatic, nil
 	}
-	return 0, fmt.Errorf("faultinject: unknown seam %q (want provider, guest, analysis or static)", s)
+	return 0, fmt.Errorf("faultinject: unknown seam %q (want provider, guest or analysis)", s)
 }
 
 // Kind is the manifestation of an injected fault.
@@ -192,8 +180,9 @@ func splitmix64(x uint64) uint64 {
 //
 //	[seed=N;]KIND:SEAM[@COUNT][;KIND:SEAM[@COUNT]...]
 //
-// KIND is panic, error or stall; SEAM is provider, guest, analysis or
-// static; COUNT is the 1-based seam crossing to fire on. A rule with no @COUNT gets a deterministic count derived from the seed and the
+// KIND is panic, error or stall; SEAM is provider, guest or analysis;
+// COUNT is the 1-based seam crossing to fire on. A rule with no @COUNT
+// gets a deterministic count derived from the seed and the
 // rule's position via splitmix64, so "seed=7;panic:analysis" names one
 // exact fault without spelling the crossing. The empty string is the
 // empty plan (nil, nil): no injection, byte-identical behaviour.

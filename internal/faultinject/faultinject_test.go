@@ -93,8 +93,9 @@ func TestParsePlanErrors(t *testing.T) {
 			t.Errorf("ParsePlan(%q) succeeded, want error", s)
 		}
 	}
-	// The drain and reconcile seams left with the batched dispatch modes.
-	for _, s := range []string{"error:drain@1", "panic:reconcile@1"} {
+	// The drain and reconcile seams left with the batched dispatch modes,
+	// the static seam with the static privacy pre-pass.
+	for _, s := range []string{"error:drain@1", "panic:reconcile@1", "panic:static"} {
 		if _, err := ParsePlan(s); err == nil || !strings.Contains(err.Error(), "unknown seam") {
 			t.Errorf("ParsePlan(%q) = %v, want an unknown-seam error", s, err)
 		}
@@ -132,7 +133,7 @@ func TestFireError(t *testing.T) {
 
 // TestFirePanic: a panic rule panics with a typed *Fault.
 func TestFirePanic(t *testing.T) {
-	p, err := ParsePlan("panic:static@1")
+	p, err := ParsePlan("panic:guest@1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,15 +145,15 @@ func TestFirePanic(t *testing.T) {
 			if !ok {
 				t.Fatalf("recovered %v (%T), want *Fault", r, r)
 			}
-			if f.Seam != SeamStatic || f.Kind != KindPanic || f.Count != 1 {
+			if f.Seam != SeamGuest || f.Kind != KindPanic || f.Count != 1 {
 				t.Errorf("fault = %+v", f)
 			}
 		}()
-		in.Fire(SeamStatic)
+		in.Fire(SeamGuest)
 		t.Fatal("Fire did not panic")
 	}()
 	// One-shot: the next crossing is clean.
-	if err := in.Fire(SeamStatic); err != nil {
+	if err := in.Fire(SeamGuest); err != nil {
 		t.Errorf("second crossing: %v", err)
 	}
 }

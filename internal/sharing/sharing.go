@@ -22,7 +22,6 @@ import (
 	"repro/internal/hypervisor"
 	"repro/internal/isa"
 	"repro/internal/mirror"
-	"repro/internal/staticanalysis"
 	"repro/internal/stats"
 	"repro/internal/umbra"
 	"repro/internal/vm"
@@ -102,9 +101,6 @@ type pageInfo struct {
 	graceEpoch  bool      // just turned Shared; exempt from the next sweep
 	wasDemoted  bool      // page was demoted at least once (reshare stats)
 	noDemote    bool      // RearmPage failed for this page; never demote it again
-	// preSeeded marks pages installed Private(owner) by the static
-	// pre-pass (static.go) rather than by a classification fault.
-	preSeeded bool
 }
 
 // Analysis is the shared-data analysis plugged into AikidoSD — it receives
@@ -155,19 +151,6 @@ type Counters struct {
 	// from all further demotion. Nonzero only under fault injection or a
 	// genuinely broken provider.
 	RearmFailures uint64
-
-	// Static privacy pre-pass (static.go; all zero without -static).
-	// PCsStaticallyPruned counts memory-referencing PCs the pre-pass
-	// proved private — the detector never instruments them.
-	// PagesPreSeeded counts pages installed as Private(owner) before
-	// first execution, eliding their classification fault.
-	// StaticTripwires counts pruned PCs that faulted on a Private(other)
-	// or Shared page anyway — a refuted proof. The detector un-prunes and
-	// instruments such a PC (the page protections are the safety net, so
-	// no finding is ever lost); in verify mode it hard-fails instead.
-	PCsStaticallyPruned uint64
-	PagesPreSeeded      uint64
-	StaticTripwires     uint64
 }
 
 // Detector is one AikidoSD instance.
@@ -207,13 +190,6 @@ type Detector struct {
 	epochOn    bool
 	tick       func()
 	epochPages []epochPage
-
-	// Static privacy pre-pass (static.go): the applied summary, the
-	// pruned-PC bitmap (same keying as instrumented), and the verify bit
-	// that turns tripwires into hard failures.
-	static       *staticanalysis.Summary
-	pruned       []uint64
-	staticVerify bool
 
 	// enabled gates page protection; Attach protects existing VMAs once
 	// at the end so partially constructed state never observes faults.
@@ -303,12 +279,6 @@ func (d *Detector) VMAAdded(v *guest.VMA) {
 	}
 	d.prov.ProtectRange(vm.PageNum(v.Base), v.Pages)
 	d.C.PagesProtected += uint64(v.Pages)
-	if v.Kind == guest.VMAStack && v.Owner != guest.NoTID {
-		// Static pre-pass: stacks are per-thread by construction, so the
-		// statically-touched stack pages start Private(owner) (no-op
-		// until a summary with a clean stack proof is applied).
-		d.preSeedStack(v)
-	}
 }
 
 // VMARemoved implements guest.VMAListener.
@@ -390,16 +360,11 @@ func (d *Detector) HandleFault(t *guest.Thread, pc isa.PC, in isa.Instr, f *hype
 		d.C.PagesShared++
 		d.prov.ProtectPage(vpn)
 		d.noteShared(vpn, pi)
-		// A pruned PC participating in a sharing transition refutes its
-		// privacy proof: tripwire (and un-prune, so the instrumentation
-		// below takes effect and the access stops fault-looping).
-		d.tripwire(t.ID, pc, addr)
 		d.instrument(pc)
 		return dbi.FaultRetry
 
 	case Shared:
 		// Fourth scenario: a new instruction touched a shared page.
-		d.tripwire(t.ID, pc, addr)
 		d.instrument(pc)
 		return dbi.FaultRetry
 	}
@@ -429,15 +394,6 @@ func (d *Detector) instrument(pc isa.PC) {
 // get the Figure 4 instrumentation; everything else runs untouched.
 func (d *Detector) Instrument(pc isa.PC, in isa.Instr) *dbi.Plan {
 	if !in.Op.IsMemRef() {
-		return nil
-	}
-	if d.isPruned(pc) {
-		// Statically proven private: never instrumented. In verify mode
-		// the PC keeps a tripwire hook instead, which hard-fails the run
-		// if the "private" access ever observes a Shared page.
-		if d.staticVerify {
-			return d.tripwirePlan()
-		}
 		return nil
 	}
 	if !d.isInstrumented(pc) {
